@@ -82,11 +82,10 @@ inline const char* usage_text() {
       "                    multi-table benches derive PATH.<section>.csv\n"
       "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_ff, jtp_dr or bbr\n"
       "  --shards N        run each simulation on N event-loop shards\n"
-      "                    (results are byte-identical across N; needs a\n"
-      "                    static topology and a non-CSMA MAC when N > 1)\n"
+      "                    (results are byte-identical across N)\n"
       "  --scenario SPEC   comma-separated key=value scenario overrides\n"
       "                    (first token may name a preset: linear, random,\n"
-      "                    mobile, testbed, scale), e.g.\n"
+      "                    mobile, testbed, scale, scale_mobile), e.g.\n"
       "                    --scenario 'net_size=12,loss_good=0.1' or\n"
       "                    --scenario 'mac=tdma_reuse' (tdma, tdma_reuse,\n"
       "                    csma)\n"

@@ -13,12 +13,8 @@
 // 1/(n·slot) while spatial reuse holds the frame at the interference
 // chromatic bound, so aggregate delivery keeps growing with field area.
 //
-// A second leg re-runs every MAC under 1 m/s random waypoint (the
-// scale_mobile preset) and reports the incremental-repair counters:
-// rows_kept + rows_repaired > 0 is the in-bench proof that topology
-// churn no longer discards the cached routing rows. Add speed=1 via
-// --scenario to make the *main* sweep mobile instead (the extra leg then
-// drops out), or workload=on_off,transfer=50 for bursty sources.
+// --scenario scale_mobile (or speed=1) runs the same sweep under 1 m/s
+// random waypoint; workload=on_off,transfer=50 gives bursty sources.
 //
 // Wall-clock columns are machine-dependent, so this bench is excluded
 // from the committed-baseline suite (like micro_perf). --deterministic
@@ -56,9 +52,6 @@ struct ScaleRun {
   double p99_s = 0.0;
   double rows_built = 0.0;
   double row_reuses = 0.0;
-  double rows_kept = 0.0;
-  double rows_repaired = 0.0;
-  double repair_visits = 0.0;
   double event_pool_hw = 0.0;
   double packet_pool_hw = 0.0;
 };
@@ -91,9 +84,6 @@ ScaleRun one_run(exp::ScenarioSpec spec, std::size_t n, std::uint64_t seed,
   r.snapshots = static_cast<double>(rs.snapshots);
   r.rows_built = static_cast<double>(rs.rows_built);
   r.row_reuses = static_cast<double>(rs.row_reuses);
-  r.rows_kept = static_cast<double>(rs.rows_kept);
-  r.rows_repaired = static_cast<double>(rs.rows_repaired);
-  r.repair_visits = static_cast<double>(rs.repair_visits);
   r.event_pool_hw =
       static_cast<double>(s.network->simulator().event_pool_stats().high_water);
   r.packet_pool_hw =
@@ -237,77 +227,13 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Mobile leg: the same field under 1 m/s random waypoint (the
-  // scale_mobile preset), one report per MAC, sharded like the static
-  // legs (per-shard trajectory replicas + epoch-barrier migration).
-  // The incremental-repair counters depend on which rows each shard's
-  // replica has cached — how the work was split, not what the run
-  // computed — so they sit with the other K-dependent diagnostics
-  // outside the --deterministic CSV. Skipped when the base sweep is
-  // already mobile (speed=... given via --scenario): the static legs
-  // above then carry the churn, and this would duplicate them.
-  if (base.speed_mps == 0.0) {
-    for (const mac::Mac m : macs) {
-      auto spec = base;
-      spec.mac = m;
-      spec.speed_mps = 1.0;
-      std::vector<sim::Column> cols{{"net_size", 0}};
-      if (!deterministic) cols.push_back({"wall_s", 2, true});
-      cols.push_back({"pkts", 0});
-      for (const auto& c : std::vector<sim::Column>{{"xmits", 0},
-                                                    {"refreshes", 0},
-                                                    {"snapshots", 0},
-                                                    {"jain", 3},
-                                                    {"p99_done_s", 1}})
-        cols.push_back(c);
-      if (!deterministic)
-        for (const auto& c : std::vector<sim::Column>{{"rows_kept", 0},
-                                                      {"rows_repaired", 0},
-                                                      {"repair_visits", 0},
-                                                      {"rows_built", 0}})
-          cols.push_back(c);
-      auto rep = bench::make_report(opt, "mobile mac=" + mac::mac_name(m),
-                                    std::move(cols), 16,
-                                    "mobile_" + mac::mac_name(m));
-      rep.begin();
-      for (const std::size_t n : sizes) {
-        const auto runs = exp::run_seeds_as(
-            n_runs, opt.seed,
-            [&](std::uint64_t s) { return one_run(spec, n, s, duration); },
-            opt.jobs);
-        std::vector<sim::Cell> row{static_cast<double>(n)};
-        if (!deterministic) {
-          const auto ws = summarize(runs, &ScaleRun::wall_s);
-          row.push_back(sim::Cell(ws.mean(), ws.ci95_halfwidth()));
-        }
-        row.push_back(mean_of(runs, &ScaleRun::delivered));
-        row.push_back(mean_of(runs, &ScaleRun::transmissions));
-        row.push_back(mean_of(runs, &ScaleRun::refreshes));
-        row.push_back(mean_of(runs, &ScaleRun::snapshots));
-        row.push_back(mean_of(runs, &ScaleRun::jain));
-        row.push_back(mean_of(runs, &ScaleRun::p99_s));
-        if (!deterministic) {
-          row.push_back(mean_of(runs, &ScaleRun::rows_kept));
-          row.push_back(mean_of(runs, &ScaleRun::rows_repaired));
-          row.push_back(mean_of(runs, &ScaleRun::repair_visits));
-          row.push_back(mean_of(runs, &ScaleRun::rows_built));
-        }
-        rep.row(row);
-      }
-      bench::finish_report(rep);
-      std::printf("\n");
-    }
-  }
-
   std::printf(
       "expected shape: under mac=tdma, colors == n and per-flow delivery\n"
       "collapses as 1/(n*slot); under mac=tdma_reuse, colors tracks local\n"
       "density (reuse = n/colors grows with n), so aggregate pkts keeps\n"
       "growing with field area. rows_built stays near (sources on live\n"
       "paths) x (snapshots); the pool high-water marks grow with flows,\n"
-      "not with net_size. In the mobile leg, rows_kept + rows_repaired\n"
-      "track the rows that survived each churned refresh, and\n"
-      "repair_visits / rows_repaired is the mean patched-subtree size\n"
-      "(vs net_size for a from-scratch row).\n");
+      "not with net_size. Under scale_mobile every refresh is a new\n"
+      "snapshot, so rows_built grows with the simulated time.\n");
   return 0;
 }

@@ -127,11 +127,9 @@ ScenarioSpec preset(const std::string& name) {
   }
   if (name == "scale_mobile") {
     // The scale tier under churn: same field, workload and slot as
-    // "scale", with every node on a 1 m/s random waypoint. This is the
-    // operating point the incremental route repair exists for — the
-    // control plane must absorb continuous position change without
-    // rebuilding the cached rows of the fan-in sources each refresh
-    // (bench/scale_sweep.cc reports rows_kept/rows_repaired for it).
+    // "scale", with every node on a 1 m/s random waypoint, so every
+    // routing refresh sees a new topology and the fan-in sources rebuild
+    // their rows (bench/scale_sweep.cc --scenario scale_mobile).
     s = preset("scale");
     s.speed_mps = 1.0;
     return s;

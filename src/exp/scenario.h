@@ -82,7 +82,7 @@ struct ScenarioSpec {
   double routing_refresh_s = 5.0;
   std::uint64_t seed = 1;
   // Parallel event-loop shards (net::NetworkConfig::shards). Results are
-  // byte-identical for every value; > 1 requires speed=0 and mac!=csma.
+  // byte-identical for every value.
   std::size_t shards = 1;
   // --- MAC discipline ---
   mac::Mac mac = mac::Mac::kTdma;
@@ -108,7 +108,8 @@ inline bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) {
 // The four paper presets ("linear", "random", "mobile", "testbed") plus
 // the production-scale tier ("scale": large random fields, many-flow
 // fan-in; meant to be swept over net_size 100/400/1000 — see
-// bench/scale_sweep.cc). Throws std::invalid_argument on an unknown name.
+// bench/scale_sweep.cc — and "scale_mobile", the same under 1 m/s
+// random waypoint). Throws std::invalid_argument on an unknown name.
 ScenarioSpec preset(const std::string& name);
 std::vector<std::string> preset_names();
 

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "core/transport.h"
+#include "mac/mac.h"
 
 namespace jtp::bench {
 namespace {
@@ -140,6 +144,41 @@ TEST(Options, PickRunsPrecedence) {
   EXPECT_EQ(o.pick_runs(3, 20), 20u);
   o.runs = 7;
   EXPECT_EQ(o.pick_runs(3, 20), 7u);  // --runs wins over --full
+}
+
+// True if `name` appears in `text` as a whole word (so "tdma" inside
+// "tdma_reuse" does not count).
+bool names_word(const std::string& text, const std::string& name) {
+  auto is_word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  for (auto at = text.find(name); at != std::string::npos;
+       at = text.find(name, at + 1)) {
+    const auto end = at + name.size();
+    if ((at == 0 || !is_word(text[at - 1])) &&
+        (end == text.size() || !is_word(text[end])))
+      return true;
+  }
+  return false;
+}
+
+// The help must name every preset, MAC and protocol the parsers accept.
+// Enumerators are probed over the whole underlying range, so a new one
+// that becomes CLI-parseable fails here until the help mentions it.
+TEST(UsageText, NamesEveryPresetMacAndProto) {
+  const std::string help = usage_text();
+  for (const auto& p : exp::preset_names())
+    EXPECT_TRUE(names_word(help, p)) << "preset " << p;
+  for (int v = 0; v < 256; ++v) {
+    const auto m = static_cast<mac::Mac>(v);
+    if (mac::parse_mac(mac::mac_name(m)) == m) {
+      EXPECT_TRUE(names_word(help, mac::mac_name(m))) << "mac " << v;
+    }
+    const auto p = static_cast<core::Proto>(v);
+    if (core::parse_proto(core::proto_name(p)) == p) {
+      EXPECT_TRUE(names_word(help, core::proto_name(p))) << "proto " << v;
+    }
+  }
 }
 
 TEST(CsvSectionPath, InsertsBeforeExtension) {

@@ -12,6 +12,7 @@
 #include "exp/runner.h"
 #include "exp/scenario.h"
 #include "exp/workload.h"
+#include "sim/random.h"
 
 namespace jtp::exp {
 namespace {
@@ -317,6 +318,164 @@ TEST(ScenarioSpecParse, ApplyTokensOverlaysOntoBase) {
   EXPECT_EQ(spec.net_size, 10u);
   EXPECT_DOUBLE_EQ(spec.workload.mean_interarrival_s, 50.0);
   EXPECT_EQ(spec.topology, TopologyKind::kGrid);  // base preserved
+}
+
+// --- spec-language properties (seeded, no fuzzer) ---------------------------
+
+// A random spec that satisfies the cross-key MAC-family validation.
+ScenarioSpec random_valid_spec(sim::Rng& rng) {
+  auto pick = [&](std::uint64_t n) { return rng.integer(n); };
+  // Doubles drawn from both the interior and the exact edges of a range.
+  auto in = [&](double lo, double hi) {
+    switch (pick(4)) {
+      case 0: return lo;
+      case 1: return hi;
+      default: return rng.uniform(lo, hi);
+    }
+  };
+  auto size = [&](std::size_t lo) {
+    return pick(8) == 0 ? static_cast<std::size_t>(~std::uint64_t{0} >> 1)
+                        : lo + static_cast<std::size_t>(pick(5000));
+  };
+  ScenarioSpec s;
+  s.topology = static_cast<TopologyKind>(pick(3));
+  s.net_size = size(2);
+  s.grid_cols = size(1);
+  s.speed_mps = in(0.0, 1e3);
+  s.fading = pick(2) == 0;
+  s.loss_good = in(0.0, 1.0);
+  s.loss_bad = in(0.0, 1.0);
+  s.bad_fraction = in(0.0, 1.0);
+  s.proto = static_cast<Proto>(
+      pick(static_cast<std::uint64_t>(Proto::kBbr) + 1));
+  s.cache_size_packets = size(1);
+  s.queue_capacity_packets = size(1);
+  s.slot_duration_s = in(1e-6, 10.0);
+  s.routing_refresh_s = in(1e-3, 1e6);
+  s.seed = rng.engine()();
+  s.shards = size(1);
+  s.mac = static_cast<mac::Mac>(pick(3));  // the CLI-parseable MACs
+  if (s.mac == mac::Mac::kTdmaReuse) s.reuse_margin = in(1.0, 4.0);
+  if (s.mac == mac::Mac::kCsma) {
+    s.csma_max_be = static_cast<std::size_t>(pick(11));
+    s.csma_min_be = static_cast<std::size_t>(pick(s.csma_max_be + 1));
+    s.csma_max_backoffs = static_cast<std::size_t>(pick(21));
+  }
+  s.workload.kind = static_cast<WorkloadKind>(pick(6));
+  s.workload.n_flows = size(1);
+  s.workload.transfer_packets = rng.engine()();
+  s.workload.start_delay_s = in(0.0, 1e9);
+  s.workload.stagger_s = in(0.0, 1e9);
+  s.workload.mean_interarrival_s = in(1e-3, 1e9);
+  s.workload.arrival_window_s = in(0.0, 1e9);
+  s.workload.mean_burst_gap_s = in(1e-3, 1e9);
+  s.workload.fan_in = size(1);
+  s.workload.loss_tolerance = in(0.0, 1.0);
+  return s;
+}
+
+TEST(ScenarioSpecProperty, RandomValidSpecsRoundTrip) {
+  sim::Rng rng(101);
+  for (int i = 0; i < 2000; ++i) {
+    const auto s = random_valid_spec(rng);
+    const auto text = to_string(s);
+    const auto r = parse_scenario(text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.error;
+    EXPECT_EQ(r.spec, s) << text;
+  }
+}
+
+// Mutated token strings: every one must parse to either an error or a
+// spec that itself round-trips, and never throw out of the parser.
+TEST(ScenarioSpecProperty, MutatedTokenStringsNeverThrow) {
+  sim::Rng rng(103);
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.integer(n));
+  };
+  auto split = [](const std::string& text) {
+    std::vector<std::string> tokens;
+    std::istringstream in(text);
+    for (std::string t; std::getline(in, t, ',');) tokens.push_back(t);
+    return tokens;
+  };
+  // Every real key (read off the canonical form) plus near-misses.
+  std::vector<std::string> keys{"", " ", "net_sizee", "NET_SIZE", "=",
+                                "scale_mobile"};
+  for (const auto& t : split(to_string(ScenarioSpec{})))
+    keys.push_back(t.substr(0, t.find('=')));
+  const std::vector<std::string> values{
+      "", " ", "0", "1", "2", "-1", "-0", "3.5", "1e308", "1e309",
+      "-1e308", "nan", "inf", "-inf", "0x10", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999999", "1e-320", "true",
+      "false", "tdma_reuse", "csma", "ext", "bbr", "jtp_dr", "grid",
+      "on_off", "fan_in", "=", "==", " 4 ", "4 4", "\t"};
+  const std::vector<std::string> presets = preset_names();
+  int accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    // Start from a valid canonical string (sometimes behind a preset).
+    auto tokens = split(to_string(random_valid_spec(rng)));
+    if (pick(3) == 0)
+      tokens.insert(tokens.begin(), presets[pick(presets.size())]);
+    const std::size_t mutations = 1 + pick(4);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at = pick(tokens.size() + 1);
+      switch (pick(8)) {
+        case 0:  // replace a key
+          if (at < tokens.size()) {
+            const auto eq = tokens[at].find('=');
+            tokens[at] = keys[pick(keys.size())] +
+                         (eq == std::string::npos ? "" : tokens[at].substr(eq));
+          }
+          break;
+        case 1:  // replace a value
+          if (at < tokens.size())
+            tokens[at] = tokens[at].substr(0, tokens[at].find('=')) + "=" +
+                         values[pick(values.size())];
+          break;
+        case 2:  // a brand-new pair
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                        keys[pick(keys.size())] + "=" +
+                            values[pick(values.size())]);
+          break;
+        case 3:  // an empty token
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at), "");
+          break;
+        case 4:  // a preset name, usually not in first position
+          tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(at),
+                        presets[pick(presets.size())]);
+          break;
+        case 5:  // a stray ',' or '=' inside a token
+          if (at < tokens.size()) {
+            auto& t = tokens[at];
+            t.insert(pick(t.size() + 1), 1, pick(2) == 0 ? ',' : '=');
+          }
+          break;
+        case 6:  // a huge or negative number for a numeric key
+          if (at < tokens.size())
+            tokens[at] = tokens[at].substr(0, tokens[at].find('=')) + "=" +
+                         (pick(2) == 0 ? "-" : "") +
+                         std::string(1 + pick(40), '9');
+          break;
+        default:  // drop a token
+          if (at < tokens.size())
+            tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+      }
+    }
+    std::string text;
+    for (std::size_t t = 0; t < tokens.size(); ++t)
+      text += (t == 0 ? "" : ",") + tokens[t];
+    SpecParse r;
+    ASSERT_NO_THROW(r = parse_scenario(text)) << text;
+    if (!r.ok()) continue;
+    ++accepted;
+    const auto again = parse_scenario(to_string(r.spec));
+    ASSERT_TRUE(again.ok()) << text << " -> " << again.error;
+    EXPECT_EQ(again.spec, r.spec) << text;
+  }
+  // The mutations must exercise both outcomes, not only rejection.
+  EXPECT_GT(accepted, 100);
+  EXPECT_LT(accepted, 2900);
 }
 
 TEST(FlowManager, RejectsJncOnCachingNetwork) {
