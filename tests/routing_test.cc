@@ -138,32 +138,36 @@ void expect_matches_fresh(const LinkStateRouting& r,
   }
 }
 
-// Two churn inputs, each checked against the oracle after every refresh:
-// teleports on a 30-node field, then random interleavings of every move
-// kind on a 40-node field. Queries between moves materialize rows against
-// the *stale* view; they must not leak into the post-refresh answers.
 TEST(LinkStateRouting, LazyRowsMatchFullRecomputeAcrossChurn) {
-  {
-    sim::Rng rng(11);
-    sim::Simulator sim;
-    auto topo = random_field(30, 180.0, rng);
-    LinkStateRouting r(sim, topo);
-    expect_matches_fresh(r, topo, "initial");
-    for (int round = 0; round < 20; ++round) {
-      for (int m = 0; m < 3; ++m) {
-        const auto id = static_cast<core::NodeId>(rng.integer(topo.size()));
-        topo.set_position(id, {rng.uniform(0.0, 180.0),
-                               rng.uniform(0.0, 180.0)});
-        (void)r.next_hop(
-            static_cast<core::NodeId>(rng.integer(topo.size())),
-            static_cast<core::NodeId>(rng.integer(topo.size())));
-        (void)r.path(static_cast<core::NodeId>(rng.integer(topo.size())),
-                     static_cast<core::NodeId>(rng.integer(topo.size())));
-      }
-      r.refresh();
-      expect_matches_fresh(r, topo, "after refresh");
+  sim::Rng rng(11);
+  sim::Simulator sim;
+  auto topo = random_field(30, 180.0, rng);
+  LinkStateRouting r(sim, topo);
+  expect_matches_fresh(r, topo, "initial");
+  for (int round = 0; round < 20; ++round) {
+    // Churn: move a few nodes, interleaved with queries that partially
+    // materialize rows against the *stale* view (they must not leak into
+    // the post-refresh answers).
+    for (int m = 0; m < 3; ++m) {
+      const auto id = static_cast<core::NodeId>(rng.integer(topo.size()));
+      topo.set_position(id, {rng.uniform(0.0, 180.0),
+                             rng.uniform(0.0, 180.0)});
+      (void)r.next_hop(static_cast<core::NodeId>(rng.integer(topo.size())),
+                       static_cast<core::NodeId>(rng.integer(topo.size())));
+      (void)r.path(static_cast<core::NodeId>(rng.integer(topo.size())),
+                   static_cast<core::NodeId>(rng.integer(topo.size())));
     }
+    r.refresh();
+    expect_matches_fresh(r, topo, "after refresh");
   }
+}
+
+// Random interleavings of small moves (wiggles that rarely change
+// adjacency), range-crossing moves, teleports, mass churn, queries against
+// stale views, and refreshes: after every refresh the rows rebuilt on
+// demand must agree with a freshly built router on every pair. (The name
+// predates lazy-only routing, when these inputs drove in-place repair.)
+TEST(LinkStateRouting, IncrementalRepairMatchesFreshAcrossInterleavings) {
   sim::Rng rng(23);
   sim::Simulator sim;
   const double side = 200.0;
@@ -196,6 +200,29 @@ TEST(LinkStateRouting, LazyRowsMatchFullRecomputeAcrossChurn) {
     r.refresh();
     expect_matches_fresh(r, topo, "after move-kind refresh");
   }
+}
+
+// Small wiggles with interleaved queries: full invalidation on every
+// generation change is the only sync path, and it must stay correct.
+TEST(LinkStateRouting, FullRebuildModeStaysCorrect) {
+  sim::Rng rng(29);
+  sim::Simulator sim;
+  auto topo = random_field(25, 160.0, rng);
+  LinkStateRouting r(sim, topo);
+  for (int round = 0; round < 10; ++round) {
+    for (int m = 0; m < 3; ++m) {
+      const auto id = static_cast<core::NodeId>(rng.integer(25));
+      const auto p = topo.position(id);
+      topo.set_position(id, {p.x + rng.uniform(-5.0, 5.0),
+                             p.y + rng.uniform(-5.0, 5.0)});
+      (void)r.next_hop(static_cast<core::NodeId>(rng.integer(25)),
+                       static_cast<core::NodeId>(rng.integer(25)));
+    }
+    r.refresh();
+    expect_matches_fresh(r, topo, "full-rebuild mode");
+  }
+  // Every refresh saw a new generation (construction + 10 rounds).
+  EXPECT_EQ(r.stats().snapshots, 11u);
 }
 
 TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
