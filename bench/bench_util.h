@@ -40,9 +40,6 @@ struct Options {
   std::size_t jobs = 0;  // 0 = auto (one job per hardware thread)
   std::optional<exp::Proto> proto;  // --proto; unset = bench default
   std::string scenario;  // --scenario tokens (validated at parse time)
-  // --shards: event-loop shards per run (unset = the scenario's value).
-  // Results are byte-identical across values; only wall clock changes.
-  std::optional<std::size_t> shards;
 
   std::size_t pick_runs(std::size_t quick, std::size_t paper) const {
     if (runs) return *runs;
@@ -81,8 +78,6 @@ inline const char* usage_text() {
       "  --csv PATH        also write the result series to CSV file(s);\n"
       "                    multi-table benches derive PATH.<section>.csv\n"
       "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_ff, jtp_dr or bbr\n"
-      "  --shards N        run each simulation on N event-loop shards\n"
-      "                    (results are byte-identical across N)\n"
       "  --scenario SPEC   comma-separated key=value scenario overrides\n"
       "                    (first token may name a preset: linear, random,\n"
       "                    mobile, testbed, scale, scale_mobile), e.g.\n"
@@ -138,13 +133,6 @@ inline ParseResult parse_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       if (!numeric("--jobs", i, v)) return r;
       r.options.jobs = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      if (!numeric("--shards", i, v)) return r;
-      if (v == 0) {
-        r.error = "--shards must be at least 1";
-        return r;
-      }
-      r.options.shards = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       if (i + 1 >= argc) {
         r.error = "--csv requires a path";

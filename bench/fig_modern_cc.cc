@@ -82,7 +82,6 @@ int main(int argc, char** argv) {
     const auto defaults = exp::preset(plan.name);
     auto base = defaults;
     bench::apply_scenario(opt, base);
-    if (opt.shards) base.shards = *opt.shards;
     const double duration = opt.full ? plan.full_s : plan.quick_s;
 
     const auto macs = bench::sweep_or<mac::Mac>(
@@ -106,8 +105,6 @@ int main(int argc, char** argv) {
     for (const mac::Mac m : macs) {
       auto spec = base;
       spec.mac = m;
-      // CSMA's shared carrier and random-waypoint mobility cannot shard.
-      if (m == mac::Mac::kCsma || spec.speed_mps > 0.0) spec.shards = 1;
 
       std::vector<sim::Cell> row{mac::mac_name(m)};
       std::vector<sim::Cell> goodput, jain;

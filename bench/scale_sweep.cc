@@ -8,20 +8,21 @@
 // collapses the sweep), and reports, per size: delivered packets,
 // delivery and event rate per wall-clock second, the MAC's slot-reuse
 // figures (colors = slots per frame, reuse = n/colors), routing work,
-// and the pool high-water marks that pin the zero-allocation claim at
-// scale. The headline contrast: classic TDMA throughput collapses as
-// 1/(n·slot) while spatial reuse holds the frame at the interference
-// chromatic bound, so aggregate delivery keeps growing with field area.
+// events executed, and the pool high-water marks that pin the
+// zero-allocation claim at scale. The headline contrast: classic TDMA
+// throughput collapses as 1/(n·slot) while spatial reuse holds the frame
+// at the interference chromatic bound, so aggregate delivery keeps
+// growing with field area.
 //
 // --scenario scale_mobile (or speed=1) runs the same sweep under 1 m/s
 // random waypoint; workload=on_off,transfer=50 gives bursty sources.
 //
 // Wall-clock columns are machine-dependent, so this bench is excluded
 // from the committed-baseline suite (like micro_perf). --deterministic
-// drops those columns — and the shard-count-dependent diagnostics
-// (total events, per-shard routing row stats, pool high-waters) —
-// leaving a byte-stable CSV that CI diffs across --jobs AND --shards
-// values: the sharded event loop must not change a single result bit.
+// drops those columns (wall_s, pkts_per_wall_s, kevt_per_wall_s) and
+// keeps everything the simulation computed — event counts, routing row
+// stats and pool high-waters included — leaving a byte-stable CSV that
+// CI diffs across --jobs values.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -127,7 +128,6 @@ int main(int argc, char** argv) {
   auto base = defaults;
   bench::apply_scenario(opt, base);
   base.proto = opt.proto_or(base.proto);
-  if (opt.shards) base.shards = *opt.shards;
   const auto sizes = bench::sweep_or<std::size_t>(
       base.net_size, defaults.net_size,
       opt.full ? std::vector<std::size_t>{100, 400, 1000}
@@ -143,13 +143,7 @@ int main(int argc, char** argv) {
   for (const mac::Mac m : macs) {
     auto spec = base;
     spec.mac = m;
-    // Every MAC shards now — CSMA runs per-strip carrier domains coupled
-    // through boundary mirrors, byte-identical to the shared-carrier loop.
 
-    // Deterministic mode keeps only shard-count-invariant results: what
-    // the simulation computed, never how the work was split (per-shard
-    // control-plane replicas skew event totals, row stats and pool
-    // high-waters, all of which stay visible in the normal mode).
     std::vector<sim::Column> cols{{"net_size", 0}};
     if (!deterministic) cols.push_back({"wall_s", 2, true});
     cols.push_back({"pkts", 0});
@@ -165,21 +159,14 @@ int main(int argc, char** argv) {
                                                   {"reuse", 2},
                                                   {"refreshes", 0},
                                                   {"snapshots", 0},
-                                                  // per-flow distribution
-                                                  // metrics: K-invariant
-                                                  // (pure functions of
-                                                  // per-flow counters), so
-                                                  // they stay in the
-                                                  // --deterministic set
                                                   {"jain", 3},
-                                                  {"p99_done_s", 1}})
+                                                  {"p99_done_s", 1},
+                                                  {"rows_built", 0},
+                                                  {"row_reuses", 0},
+                                                  {"ev_pool_hw", 0},
+                                                  {"pkt_pool_hw", 0},
+                                                  {"events", 0}})
       cols.push_back(c);
-    if (!deterministic)
-      for (const auto& c : std::vector<sim::Column>{{"rows_built", 0},
-                                                    {"row_reuses", 0},
-                                                    {"ev_pool_hw", 0},
-                                                    {"pkt_pool_hw", 0}})
-        cols.push_back(c);
     auto rep = bench::make_report(opt, "mac=" + mac::mac_name(m),
                                   std::move(cols), 16, mac::mac_name(m));
     rep.begin();
@@ -215,12 +202,11 @@ int main(int argc, char** argv) {
       row.push_back(mean_of(runs, &ScaleRun::snapshots));
       row.push_back(mean_of(runs, &ScaleRun::jain));
       row.push_back(mean_of(runs, &ScaleRun::p99_s));
-      if (!deterministic) {
-        row.push_back(mean_of(runs, &ScaleRun::rows_built));
-        row.push_back(mean_of(runs, &ScaleRun::row_reuses));
-        row.push_back(mean_of(runs, &ScaleRun::event_pool_hw));
-        row.push_back(mean_of(runs, &ScaleRun::packet_pool_hw));
-      }
+      row.push_back(mean_of(runs, &ScaleRun::rows_built));
+      row.push_back(mean_of(runs, &ScaleRun::row_reuses));
+      row.push_back(mean_of(runs, &ScaleRun::event_pool_hw));
+      row.push_back(mean_of(runs, &ScaleRun::packet_pool_hw));
+      row.push_back(mean_of(runs, &ScaleRun::events));
       rep.row(row);
     }
     bench::finish_report(rep);

@@ -8,7 +8,7 @@ namespace jtp::baselines {
 
 // probe_bw gain cycle: one probing phase, one draining phase, six cruise
 // phases. The cycle start is fixed (index 0) rather than randomized as in
-// Linux BBR — determinism across shard counts and reruns is a repo-wide
+// Linux BBR — determinism across reruns and --jobs values is a repo-wide
 // invariant worth more here than desynchronizing competing flows.
 namespace {
 constexpr double kCycleGains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};

@@ -32,7 +32,7 @@ struct RunMetrics {
   // nothing was delivered at all), and the p99 (nearest-rank) completion
   // latency over flows that finished their bounded transfer (0 when none
   // did — e.g. long-lived on_off/fan_in flows). Both are pure functions
-  // of per-flow counters, hence K-invariant under sharding.
+  // of per-flow counters.
   double jain_fairness = 0.0;
   double p99_completion_s = 0.0;
 

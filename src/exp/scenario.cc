@@ -50,7 +50,6 @@ bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) {
          a.queue_capacity_packets == b.queue_capacity_packets &&
          a.slot_duration_s == b.slot_duration_s &&
          a.routing_refresh_s == b.routing_refresh_s && a.seed == b.seed &&
-         a.shards == b.shards &&
          a.mac == b.mac && a.reuse_margin == b.reuse_margin &&
          a.csma_min_be == b.csma_min_be && a.csma_max_be == b.csma_max_be &&
          a.csma_max_backoffs == b.csma_max_backoffs &&
@@ -259,7 +258,6 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
       return bad_value(key, value, "a non-negative integer");
     return "";
   }
-  if (key == "shards") return set_size(spec.shards, 1, "an integer >= 1");
   if (key == "mac") {
     const auto m = mac::parse_mac(value);
     if (!m) return bad_value(key, value, "a MAC (tdma, tdma_reuse, csma)");
@@ -353,8 +351,6 @@ std::string validate_spec(const ScenarioSpec& s) {
     return "scenario: min_be/max_be/max_backoffs require mac=csma";
   if (s.csma_min_be > s.csma_max_be)
     return "scenario: min_be must be <= max_be";
-  // shards combines with every MAC and with mobility (shard-aware
-  // mobility + per-strip CSMA carrier domains); no cross-key limits.
   return "";
 }
 
@@ -424,7 +420,6 @@ std::string to_string(const ScenarioSpec& s) {
   kv("slot_duration", fmt_double(s.slot_duration_s));
   kv("routing_refresh", fmt_double(s.routing_refresh_s));
   kv("seed", std::to_string(s.seed));
-  kv("shards", std::to_string(s.shards));
   kv("mac", mac::mac_name(s.mac));
   kv("reuse_margin", fmt_double(s.reuse_margin));
   kv("min_be", std::to_string(s.csma_min_be));
@@ -465,7 +460,6 @@ net::NetworkConfig make_network_config(const ScenarioSpec& spec) {
   net::NetworkConfig cfg;
   cfg.seed = spec.seed;
   cfg.slot_duration_s = spec.slot_duration_s;
-  cfg.shards = spec.shards;
   cfg.channel.fading_enabled = spec.fading;
   cfg.channel.loss_good = spec.loss_good;
   cfg.channel.loss_bad = spec.loss_bad;

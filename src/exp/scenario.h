@@ -81,9 +81,6 @@ struct ScenarioSpec {
   double slot_duration_s = 0.035;
   double routing_refresh_s = 5.0;
   std::uint64_t seed = 1;
-  // Parallel event-loop shards (net::NetworkConfig::shards). Results are
-  // byte-identical for every value.
-  std::size_t shards = 1;
   // --- MAC discipline ---
   mac::Mac mac = mac::Mac::kTdma;
   // tdma_reuse only: interference range as a multiple of the radio range.
@@ -122,8 +119,7 @@ std::vector<std::string> preset_names();
 //
 // Keys mirror the struct fields (topology, net_size, grid_cols, speed,
 // fading, loss_good, loss_bad, bad_fraction, proto, cache_size,
-// queue_capacity, slot_duration, routing_refresh, seed, shards, mac,
-// reuse_margin,
+// queue_capacity, slot_duration, routing_refresh, seed, mac, reuse_margin,
 // min_be, max_be, max_backoffs, workload, flows, transfer, start, stagger,
 // interarrival, window, burst_gap, fan_in, loss_tolerance).
 //

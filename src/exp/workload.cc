@@ -32,18 +32,16 @@ FlowManager::FlowHandle& FlowManager::create(core::NodeId src,
   auto* rcv = handle->receiver;
   // Teardown: once the source has everything acknowledged, silence the
   // receiver's feedback machinery (connection close analogue) and record
-  // the completion time for goodput accounting. The close runs on the
-  // receiver's side one slot later (the minimum cross-shard handoff; the
-  // same delay applies under one shard for shard-count invariance).
-  snd->set_on_complete([this, rcv, src, dst, h = handle.get()] {
-    h->completed_at = net_.now_at(src);
-    net_.defer_from_to(src, dst, net_.slot_duration_s(),
-                       [rcv] { rcv->stop(); });
+  // the completion time for goodput accounting. The close runs one slot
+  // later (a fixed hand-off delay the committed baselines include).
+  snd->set_on_complete([this, rcv, h = handle.get()] {
+    h->completed_at = net_.now();
+    net_.simulator().schedule(net_.slot_duration_s(), [rcv] { rcv->stop(); });
   });
-  // Each endpoint starts in its own shard, as its own node (the receiver
-  // first: its handlers must be armed when the first data packet lands,
-  // and under one shard the receiver-start event keeps its historical
-  // place ahead of the sender-start event at the same instant).
+  // Each endpoint starts as its own node (the receiver first: its
+  // handlers must be armed when the first data packet lands, and the
+  // receiver-start event keeps its place ahead of the sender-start event
+  // at the same instant).
   net_.schedule_at_node(dst, start_at, [rcv] { rcv->start(); });
   net_.schedule_at_node(src, start_at,
                         [snd, total_packets] { snd->start(total_packets); });

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -87,12 +86,12 @@ using DeliverHook = std::function<void(core::PacketPtr&&, core::NodeId from,
                                        core::NodeId to)>;
 using AttemptBudgetTrace =
     std::function<void(sim::Time, const core::Packet&, int max_attempts)>;
-// Delivery scheduling seam for the sharded runner: instead of the MAC
-// scheduling its own +delay event and invoking the deliver hook, it
-// hands (delay, packet, from, to) to the network, which routes the
-// event to the shard owning `to` (and charges the receive energy on
-// that shard at execution time). When unset, the MAC keeps the legacy
-// single-simulator path.
+// Delivery scheduling seam: instead of the MAC scheduling its own +delay
+// event and invoking the deliver hook, it hands (delay, packet, from, to)
+// to the network, which schedules the delivery to execute as the
+// receiver and charges the receive energy at execution time. When unset,
+// the MAC schedules the delivery itself and charges the receive energy
+// at transmit time (raw-fabric tests).
 using DeliveryDispatch = std::function<void(
     double delay_s, core::PacketPtr&&, core::NodeId from, core::NodeId to)>;
 
@@ -111,7 +110,7 @@ class MacIface {
   virtual void set_pre_xmit(PreXmitHook hook) = 0;
   virtual void set_deliver(DeliverHook hook) = 0;
   virtual void set_attempt_trace(AttemptBudgetTrace t) = 0;
-  // Optional (default no-op): MACs that support shard-routed delivery
+  // Optional (default no-op): MACs that hand deliveries to the network
   // override this. See mac::DeliveryDispatch.
   virtual void set_dispatch(DeliveryDispatch) {}
 
@@ -132,19 +131,10 @@ class MacIface {
   virtual std::uint64_t transmissions() const = 0;
   virtual std::uint64_t deliveries() const = 0;
 
-  // --- shard migration (epoch-barrier time only; see net::Network) ---
-  // True when this MAC holds no in-flight state: empty queues and no
-  // armed transmit machinery. Only a quiescent MAC may hand its node to
-  // another shard. The conservative default pins custom disciplines in
-  // place (never migratable) rather than risking a half-moved cycle.
+  // True when this MAC has no queued or in-air frame: empty queues and
+  // no armed transmit machinery. The default answers false (a custom
+  // discipline is never assumed idle).
   virtual bool migration_idle() const { return false; }
-  // Copies the dynamic per-node state — counters, link estimator,
-  // discipline internals (slot cursor, backoff rng) — from the same
-  // node's replica in another shard's fabric. Both sides are quiescent
-  // when this runs. Throws std::logic_error on a cross-discipline pair.
-  virtual void adopt_state(const MacIface&) {
-    throw std::logic_error("MacIface: discipline does not support adoption");
-  }
 };
 
 }  // namespace jtp::mac

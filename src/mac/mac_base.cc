@@ -109,10 +109,8 @@ void SlottedMac::transmit_head() {
     finish_head(q, /*delivered=*/true);
     // Hand to the fabric at the end of the slot (one airtime later).
     if (dispatch_) {
-      // Shard-routed path: the network schedules the delivery on the
-      // shard owning `to` and charges the receive energy there, at
-      // delivery-execution time (the receiver's accounting must live
-      // with the receiver's state).
+      // The network schedules the delivery and charges the receive
+      // energy at delivery-execution time.
       dispatch_(slot_duration(), std::move(delivered), from, to);
     } else {
       energy_.charge_rx(to, delivered->size_bits());

@@ -1,143 +1,55 @@
 #include "net/network.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
-#include "mac/csma_mac.h"
-
 namespace jtp::net {
 
-Network::Shard::Shard(const NetworkConfig& cfg, const phy::Topology& master,
-                      bool replicate_topo)
-    : topo_replica(replicate_topo ? std::make_unique<phy::Topology>(master)
-                                  : nullptr),
-      channel(cfg.channel, sim::Rng(cfg.seed).derive("channel")),
-      energy(master.size(), cfg.radio),
-      env(sim, pool) {
-  topo_view = topo_replica ? topo_replica.get() : &master;
-  routing = std::make_unique<routing::LinkStateRouting>(sim, *topo_view,
-                                                        cfg.routing);
-  // The link layer comes from the registry: one fabric per shard, one
-  // MacIface per node. MAC construction draws no randomness and
-  // schedules no events, and the TDMA schedule/coloring is a pure
-  // function of seed and topology — every shard's replica is identical,
-  // and only the MACs of nodes the shard owns ever run.
-  const mac::MacContext mctx{sim,     *topo_view, channel, energy,
-                             cfg.slot_duration_s, cfg.seed, cfg.mac};
-  fabric = mac::MacRegistry::instance().info(cfg.mac_kind).factory->make(
-      mctx);
+namespace {
+
+// Sizes the channel's per-link state tables from the node count when the
+// scenario didn't: a connected random field carries ~4 links/node, and
+// the reserve is what keeps the hot-path lookup rehash-free.
+NetworkConfig with_link_reserve(NetworkConfig cfg, std::size_t n) {
+  if (cfg.channel.expected_links == 0) cfg.channel.expected_links = 4 * n;
+  return cfg;
 }
 
-Network::Network(phy::Topology topology, NetworkConfig cfg)
-    : cfg_(cfg), rng_(cfg.seed), topo_(std::move(topology)) {
-  // Size the channel's per-link state tables from the node count when the
-  // scenario didn't: a connected random field carries ~4 links/node, and
-  // the reserve is what keeps the hot-path lookup rehash-free.
-  if (cfg_.channel.expected_links == 0)
-    cfg_.channel.expected_links = 4 * topo_.size();
-  const std::size_t want = cfg.shards == 0 ? 1 : cfg.shards;
-  // Spatially contiguous strips: cross-shard traffic only crosses strip
-  // boundaries, so almost all deliveries stay on the owning shard's
-  // zero-alloc pipeline. May yield fewer shards than asked for. The
-  // strip intervals are fixed geography for the run; under mobility
-  // shard_of_ is the live assignment and drifts from them until a
-  // migration pass re-homes the movers.
-  part_ = phy::partition_strips(topo_, want);
-  shard_of_ = std::move(part_.assignment);
-  // Cross-shard handoffs are stamped one slot ahead — except under CSMA,
-  // where carrier mirrors ride at half a backoff unit (see csma_mac.h).
-  lookahead_ =
-      cfg_.mac_kind == mac::Mac::kCsma ? 0.5 * cfg_.slot_duration_s
-                                       : cfg_.slot_duration_s;
-  // Under sharded mobility every shard replays the whole trajectory on
-  // its own Topology replica (identical seed => identical positions at
-  // every virtual time, no shared writes); K = 1 keeps the master
-  // topology live exactly as before.
-  const bool replicate = part_.shard_count > 1 && cfg.mobility.has_value();
-  shards_.reserve(part_.shard_count);
-  for (std::size_t s = 0; s < part_.shard_count; ++s)
-    shards_.push_back(std::make_unique<Shard>(cfg_, topo_, replicate));
+}  // namespace
 
-  if (cfg.mobility) {
-    if (shards_.size() == 1) {
-      mobility_ = std::make_unique<phy::RandomWaypoint>(
-          shards_[0]->sim, topo_, *cfg.mobility, rng_.derive("mobility"));
-    } else {
-      // derive() is a const read of the master stream: every replica
-      // gets the same generator the K = 1 path would.
-      for (auto& sh : shards_)
-        sh->mobility = std::make_unique<phy::RandomWaypoint>(
-            sh->sim, *sh->topo_replica, *cfg.mobility,
-            rng_.derive("mobility"));
-      // Migration barriers: a whole number of lookahead horizons per
-      // epoch, so barriers always land on runner synchronization points.
-      const double want_epoch =
-          std::max(cfg_.migration_epoch_s, lookahead_);
-      epoch_s_ = lookahead_ *
-                 std::max<double>(1.0, std::llround(want_epoch / lookahead_));
-      master_gen_cursor_ = shards_[0]->topo_replica->generation();
-    }
-  }
-  pinned_.assign(topo_.size(), false);
+Network::Network(phy::Topology topology, NetworkConfig cfg)
+    : cfg_(with_link_reserve(std::move(cfg), topology.size())),
+      rng_(cfg_.seed),
+      topo_(std::move(topology)),
+      channel_(cfg_.channel, sim::Rng(cfg_.seed).derive("channel")),
+      energy_(topo_.size(), cfg_.radio),
+      routing_(sim_, topo_, cfg_.routing),
+      env_(sim_, pool_),
+      // The link layer comes from the registry: one fabric, one MacIface
+      // per node.
+      fabric_(mac::MacRegistry::instance().info(cfg_.mac_kind).factory->make(
+          mac::MacContext{sim_, topo_, channel_, energy_, cfg_.slot_duration_s,
+                          cfg_.seed, cfg_.mac})) {
+  if (cfg_.mobility)
+    mobility_ = std::make_unique<phy::RandomWaypoint>(
+        sim_, topo_, *cfg_.mobility, rng_.derive("mobility"));
   nodes_.reserve(topo_.size());
-  for (core::NodeId id = 0; id < topo_.size(); ++id) {
-    Shard& sh = shard_at(id);
-    nodes_.push_back(std::make_unique<Node>(id, sh.fabric->mac_of(id),
-                                            *sh.routing, flows_, sh.pool,
-                                            cfg.node));
-  }
+  for (core::NodeId id = 0; id < topo_.size(); ++id)
+    nodes_.push_back(std::make_unique<Node>(id, fabric_->mac_of(id), routing_,
+                                            flows_, pool_, cfg_.node));
   // Fabric delivery: successful transmissions land at the destination
-  // node's stack. The dispatch seam routes the delivery event to the
-  // destination's shard (and under K = 1 degenerates to the same-shard
-  // path); the plain deliver hook remains for MACs that do not take the
-  // seam. Hooks go on every shard's replica of every MAC: migration can
-  // make any replica the live one, and on non-owning replicas they are
-  // inert (a replica MAC never transmits until a node binds to it).
-  for (auto& sh : shards_) {
-    for (core::NodeId id = 0; id < topo_.size(); ++id) {
-      mac::MacIface& m = sh->fabric->mac_of(id);
-      m.set_deliver(
-          [this](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
-            nodes_.at(to)->handle_delivery(std::move(p), from);
-          });
-      m.set_dispatch([this](double delay_s, core::PacketPtr&& p,
-                            core::NodeId from, core::NodeId to) {
-        dispatch_delivery(delay_s, std::move(p), from, to);
-      });
-    }
-  }
-  if (shards_.size() > 1) {
-    std::vector<sim::Simulator*> sims;
-    sims.reserve(shards_.size());
-    for (auto& sh : shards_) sims.push_back(&sh->sim);
-    sim::ShardedRunner::Config rcfg;
-    rcfg.lookahead = lookahead_;
-    runner_ = std::make_unique<sim::ShardedRunner>(std::move(sims), rcfg);
-  }
-  if (runner_ && cfg_.mac_kind == mac::Mac::kCsma) {
-    // Carrier coupling across strips. A frame begun in shard s must be
-    // mirrored into every strip where it could change a CCA read or a
-    // collision verdict: its sender can be heard up to R from itself,
-    // and it can collide at a victim receiver up to R away whose own
-    // sender sits another R beyond — so 2R around the sender's captured
-    // x, inflated by how far live positions can drift from the bounds
-    // snapshot (position-update granularity, route staleness toward an
-    // out-of-date next hop, and a whole epoch between bound refreshes).
-    double slack = 0.0;
-    if (cfg_.mobility)
-      slack = cfg_.mobility->speed_mps * 2.0 *
-              (epoch_s_ + cfg_.routing.refresh_interval_s +
-               cfg_.mobility->update_interval_s);
-    mirror_margin_ = 2.0 * topo_.radio_range() + slack;
-    owned_lo_.assign(shards_.size(), 0.0);
-    owned_hi_.assign(shards_.size(), 0.0);
-    refresh_owned_bounds();
-    for (std::size_t s = 0; s < shards_.size(); ++s)
-      shards_[s]->fabric->set_tx_mirror(
-          [this, s](const mac::CsmaTxRecord& r) { post_csma_mirror(s, r); });
+  // node's stack through the dispatch seam; the plain deliver hook
+  // remains for MACs that do not take the seam.
+  for (core::NodeId id = 0; id < topo_.size(); ++id) {
+    mac::MacIface& m = fabric_->mac_of(id);
+    m.set_deliver(
+        [this](core::PacketPtr&& p, core::NodeId from, core::NodeId to) {
+          nodes_.at(to)->handle_delivery(std::move(p), from);
+        });
+    m.set_dispatch([this](double delay_s, core::PacketPtr&& p,
+                          core::NodeId from, core::NodeId to) {
+      dispatch_delivery(delay_s, std::move(p), from, to);
+    });
   }
 }
 
@@ -145,89 +57,21 @@ Network::~Network() = default;
 
 void Network::dispatch_delivery(double delay_s, core::PacketPtr&& p,
                                 core::NodeId from, core::NodeId to) {
-  const std::size_t sf = shard_of_[from];
-  const std::size_t st = shard_of_[to];
-  sim::Simulator& ssim = shards_[sf]->sim;
   // The tie comes from the stream of whatever owner is executing (the
-  // sender's transmit event): that owner's draw history is identical
-  // for every shard count, so so is the key. The event executes as the
-  // receiver (exec_owner = to + 1): everything the receiving stack
-  // schedules draws from the receiver's stream.
-  const std::uint64_t tie = ssim.draw_tie(ssim.context());
-  const double at = ssim.now() + delay_s;
-  if (sf == st) {
-    ssim.at_keyed(at, tie, to + 1,
-                  [this, q = std::move(p), from, to]() mutable {
-                    execute_delivery(std::move(q), from, to);
-                  });
-    return;
-  }
-  // Cross-shard: the packet bytes move out of the sender shard's pool
-  // slot (recycled here, on the sender's thread) and ride the mailbox
-  // in a self-owned heap packet; the receiving shard re-pools them at
-  // execution time. Two allocations per boundary crossing, boundary
-  // crossings only.
-  auto payload = std::make_shared<core::Packet>(std::move(*p));
-  p.reset();
-  runner_->post(sf, st, at, tie, to + 1, [this, payload, from, to]() {
-    core::PacketPtr q = shards_[shard_of_[to]]->pool.make(
-        std::move(*payload));
-    execute_delivery(std::move(q), from, to);
-  });
-}
-
-void Network::execute_delivery(core::PacketPtr&& p, core::NodeId from,
-                               core::NodeId to) {
-  // Receive energy is charged at delivery execution, on the shard that
-  // owns the receiver's tally (shard-invariant accrual order: all of
-  // node `to`'s charges happen in its own shard's event order).
-  shard_at(to).energy.charge_rx(to, p->size_bits());
-  nodes_.at(to)->handle_delivery(std::move(p), from);
-}
-
-void Network::post_csma_mirror(std::size_t from, const mac::CsmaTxRecord& r) {
-  sim::Simulator& ssim = shards_[from]->sim;
-  // begin_tx runs at r.start; the mirror rides exactly one lookahead
-  // (half a backoff unit) ahead — off the backoff grid, so it can never
-  // tie with a native MAC event in the receiving shard.
-  const double at = r.start + 0.5 * cfg_.slot_duration_s;
-  const double x = r.sender_pos.x;
-  for (std::size_t st = 0; st < shards_.size(); ++st) {
-    if (st == from) continue;
-    if (owned_lo_[st] > owned_hi_[st]) continue;  // strip owns nothing
-    if (x < owned_lo_[st] - mirror_margin_ ||
-        x > owned_hi_[st] + mirror_margin_)
-      continue;
-    const std::uint64_t tie = ssim.draw_tie(ssim.context());
-    runner_->post(from, st, at, tie, r.sender + 1, [this, st, r] {
-      shards_[st]->fabric->register_remote_tx(r, shards_[st]->sim.now());
-    });
-  }
+  // sender's transmit event). The event executes as the receiver
+  // (exec_owner = to + 1): everything the receiving stack schedules
+  // draws from the receiver's stream.
+  const std::uint64_t tie = sim_.draw_tie(sim_.context());
+  sim_.at_keyed(sim_.now() + delay_s, tie, to + 1,
+                [this, q = std::move(p), from, to]() mutable {
+                  energy_.charge_rx(to, q->size_bits());
+                  nodes_.at(to)->handle_delivery(std::move(q), from);
+                });
 }
 
 void Network::schedule_at_node(core::NodeId id, double at,
                                std::function<void()> fn) {
-  sim::Simulator& s = shard_at(id).sim;
-  s.at_keyed(at, s.draw_tie(0), id + 1, std::move(fn));
-}
-
-void Network::defer_from_to(core::NodeId from, core::NodeId to, double delay,
-                            std::function<void()> fn) {
-  const std::size_t sf = shard_of_[from];
-  const std::size_t st = shard_of_[to];
-  sim::Simulator& ssim = shards_[sf]->sim;
-  const std::uint32_t owner = ssim.context();
-  const std::uint64_t tie = ssim.draw_tie(owner);
-  const double at = ssim.now() + delay;
-  if (sf == st) {
-    ssim.at_keyed(at, tie, owner, std::move(fn));
-    return;
-  }
-  if (delay < lookahead_)
-    throw std::logic_error(
-        "defer_from_to: cross-shard delay below the lookahead horizon "
-        "(lookahead_s()); raise the delay or set NetworkConfig::shards = 1");
-  runner_->post(sf, st, at, tie, owner, std::move(fn));
+  sim_.at_keyed(at, sim_.draw_tie(0), id + 1, std::move(fn));
 }
 
 core::FlowId Network::allocate_flow(HopPolicy policy) {
@@ -244,12 +88,10 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
 
   // Path facts for the factory's defaults: the MAC's per-node share,
   // current hop count, and a pessimistic (with-retries) RTT estimate.
-  // Shard 0's replicas answer; every shard's copies are identical.
   PathInfo path;
-  path.node_capacity_pps = shards_[0]->fabric->node_capacity_pps();
-  path.hops = shards_[0]->routing->hops(src, dst).value_or(1);
-  path.rtt_estimate_s =
-      2.0 * path.hops * shards_[0]->fabric->frame_duration_s() * 1.5;
+  path.node_capacity_pps = fabric_->node_capacity_pps();
+  path.hops = routing_.hops(src, dst).value_or(1);
+  path.rtt_estimate_s = 2.0 * path.hops * fabric_->frame_duration_s() * 1.5;
 
   const core::FlowId flow = allocate_flow(info.hop_policy);
   TransportEndpoints eps = info.factory->make(*this, flow, src, dst, opt,
@@ -268,10 +110,6 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
   node(src).attach_ack_handler(
       flow, [snd](const core::Packet& p) { snd->on_ack(p); });
 
-  // Endpoint transports hold their home shard's Env; the nodes stay put.
-  pinned_.at(src) = true;
-  pinned_.at(dst) = true;
-
   FlowHandle h;
   h.proto = proto;
   h.id = flow;
@@ -285,139 +123,32 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
 void Network::run_until(double t) {
   if (!started_) {
     started_ = true;
-    for (auto& sh : shards_) sh->routing->start();
+    routing_.start();
     // Keep routes reasonably fresh under motion: the periodic link-state
     // refresh picks up the topology's generation counter; no per-move
     // recompute (that would be an oracle, and the staleness is part of
     // what Fig. 11 measures).
     if (mobility_) mobility_->start();
-    for (auto& sh : shards_)
-      if (sh->mobility) sh->mobility->start();
   }
-  if (!runner_) {
-    shards_[0]->sim.run_until(t);
-    return;
-  }
-  if (epoch_s_ <= 0.0) {  // static topology: one uninterrupted span
-    runner_->run_until(t);
-    return;
-  }
-  // Sharded mobility: chunk the run into migration epochs. Each barrier
-  // lands every shard's clock on the same multiple of the lookahead, so
-  // the hand-over below runs strictly single-threaded between spans.
-  while (shards_[0]->sim.now() < t) {
-    const double now = shards_[0]->sim.now();
-    double next =
-        (std::floor(now / epoch_s_ + 1e-9) + 1.0) * epoch_s_;
-    if (next <= now) next = now + epoch_s_;
-    if (next >= t) {
-      runner_->run_until(t);
-      break;
-    }
-    runner_->run_until(next);
-    migration_barrier();
-  }
-  sync_master_topology();  // callers read final positions off the master
-}
-
-void Network::sync_master_topology() {
-  if (shards_.empty() || !shards_[0]->topo_replica) return;
-  const phy::Topology& rep = *shards_[0]->topo_replica;
-  if (rep.generation() == master_gen_cursor_) return;
-  std::vector<core::NodeId> moved;
-  if (rep.moved_since(master_gen_cursor_, moved)) {
-    for (core::NodeId id : moved) topo_.set_position(id, rep.position(id));
-  } else {
-    // Move ring overflowed this window: full positional diff.
-    for (core::NodeId id = 0; id < topo_.size(); ++id) {
-      const phy::Position& a = topo_.position(id);
-      const phy::Position& b = rep.position(id);
-      if (a.x != b.x || a.y != b.y) topo_.set_position(id, b);
-    }
-  }
-  master_gen_cursor_ = rep.generation();
-}
-
-void Network::refresh_owned_bounds() {
-  if (owned_lo_.empty()) return;  // only kept for sharded CSMA runs
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::fill(owned_lo_.begin(), owned_lo_.end(), kInf);
-  std::fill(owned_hi_.begin(), owned_hi_.end(), -kInf);
-  for (core::NodeId i = 0; i < topo_.size(); ++i) {
-    const std::size_t s = shard_of_[i];
-    const double x = topo_.position(i).x;
-    owned_lo_[s] = std::min(owned_lo_[s], x);
-    owned_hi_[s] = std::max(owned_hi_[s], x);
-  }
-}
-
-void Network::migration_barrier() {
-  ++mig_stats_.barriers;
-  sync_master_topology();
-  refresh_owned_bounds();
-  const std::size_t n = topo_.size();
-  std::size_t out = 0;
-  for (core::NodeId i = 0; i < n; ++i)
-    if (part_.shard_for_x(topo_.position(i).x) != shard_of_[i]) ++out;
-  mig_stats_.out_of_strip_last = out;
-  if (static_cast<double>(out) <=
-      cfg_.halo_threshold * static_cast<double>(n))
-    return;
-  ++mig_stats_.handoff_passes;
-  for (core::NodeId i = 0; i < n; ++i) {
-    const std::size_t target = part_.shard_for_x(topo_.position(i).x);
-    if (target == shard_of_[i]) continue;
-    if (pinned_[i]) {
-      ++mig_stats_.pinned;
-      continue;
-    }
-    Shard& src = *shards_[shard_of_[i]];
-    // Quiescence gate: nothing queued or in the air at the MAC, and no
-    // pending event executing as this node (deliveries in flight toward
-    // it, armed backoff timers, deferred control). Anything else waits
-    // for a later barrier — correctness never depends on moving.
-    if (!src.fabric->mac_of(i).migration_idle() ||
-        src.sim.has_pending_owner(i + 1)) {
-      ++mig_stats_.deferred;
-      continue;
-    }
-    migrate_node(i, target);
-  }
-}
-
-void Network::migrate_node(core::NodeId id, std::size_t to) {
-  Shard& src = *shards_[shard_of_[id]];
-  Shard& dst = *shards_[to];
-  // Order matters only for readability — the node is quiescent, so each
-  // piece moves independently: MAC counters/estimator/backoff state,
-  // the channel's directed loss streams keyed by this sender, the
-  // energy tally (bit-exact: the new shard continues the old sum), and
-  // finally the stack rebind onto the new bundle.
-  dst.fabric->mac_of(id).adopt_state(src.fabric->mac_of(id));
-  dst.channel.adopt_sender_streams(id, src.channel);
-  dst.energy.set_node_energy(id, src.energy.node_energy(id));
-  src.energy.set_node_energy(id, 0.0);
-  nodes_.at(id)->rebind(dst.fabric->mac_of(id), *dst.routing, dst.pool);
-  shard_of_[id] = to;
-  ++mig_stats_.migrations;
+  sim_.run_until(t);
 }
 
 std::uint64_t Network::total_queue_drops() const {
   std::uint64_t n = 0;
   for (core::NodeId i = 0; i < size(); ++i)
-    n += shards_[shard_of_[i]]->fabric->mac_of(i).queue_drops();
+    n += fabric_->mac_of(i).queue_drops();
   return n;
 }
 std::uint64_t Network::total_attempt_drops() const {
   std::uint64_t n = 0;
   for (core::NodeId i = 0; i < size(); ++i)
-    n += shards_[shard_of_[i]]->fabric->mac_of(i).attempt_exhausted_drops();
+    n += fabric_->mac_of(i).attempt_exhausted_drops();
   return n;
 }
 std::uint64_t Network::total_energy_budget_drops() const {
   std::uint64_t n = 0;
   for (core::NodeId i = 0; i < size(); ++i)
-    n += shards_[shard_of_[i]]->fabric->mac_of(i).energy_budget_drops();
+    n += fabric_->mac_of(i).energy_budget_drops();
   return n;
 }
 std::uint64_t Network::total_cache_retransmissions() const {
@@ -428,22 +159,13 @@ std::uint64_t Network::total_cache_retransmissions() const {
 std::uint64_t Network::total_transmissions() const {
   std::uint64_t n = 0;
   for (core::NodeId i = 0; i < size(); ++i)
-    n += shards_[shard_of_[i]]->fabric->mac_of(i).transmissions();
+    n += fabric_->mac_of(i).transmissions();
   return n;
 }
 std::uint64_t Network::total_route_drops() const {
   std::uint64_t n = 0;
   for (const auto& nd : nodes_) n += nd->route_drops();
   return n;
-}
-std::uint64_t Network::total_events_executed() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->sim.events_executed();
-  return n;
-}
-
-core::Joules Network::node_energy(core::NodeId id) const {
-  return shards_[shard_of_.at(id)]->energy.node_energy(id);
 }
 core::Joules Network::total_energy() const {
   core::Joules j = 0.0;

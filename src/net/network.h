@@ -10,52 +10,19 @@
 // names. This is the "adaptation layer" through which experiments and
 // examples use the library.
 //
-// Sharded execution (NetworkConfig::shards > 1): the node set is cut
-// into spatially contiguous strips (phy::partition_strips) and each
-// strip gets a full per-shard simulation bundle — packet pool,
-// Simulator, Channel, EnergyModel, routing view, SimEnv, MAC fabric —
-// run in parallel by a sim::ShardedRunner with lookahead equal to the
-// slot duration (half of it under CSMA; see below). Node i's entire
-// stack (MAC queue, timers, packets, energy tally) lives in
-// shard_of(i); same-shard deliveries use the existing zero-alloc
-// pipeline unchanged, cross-shard deliveries are re-pooled through the
-// runner's mailboxes. Channel fading and loss streams are keyed per
-// link, the TDMA schedule is a pure function of seed and topology, and
-// event tie-break keys are drawn per owning node — so results are
-// byte-identical for every shard count, K = 1 included (K = 1 builds no
-// runner and collapses to the plain single-threaded loop).
-//
-// Mobility under shards > 1: each shard carries its own Topology +
-// RandomWaypoint replica, seeded identically — every replica replays
-// the exact same trajectory from its own clock, so position reads are
-// consistent across shards at every virtual time without any shared
-// writes. Drift is handled by a migration layer: the run is chunked
-// into epochs aligned to the lookahead horizon, and at each barrier the
-// master topology is re-synced from replica 0 via Topology::moved_since
-// and the halo occupancy (nodes outside their home strip) is measured.
-// When it exceeds NetworkConfig::halo_threshold, drifted nodes whose
-// stacks are quiescent are handed to the strip that now contains them:
-// the MAC replica on the new shard adopts counters/estimator/backoff
-// state, the channel's directed loss streams move (Channel::
-// adopt_sender_streams), the energy tally transfers bit-exactly, and
-// the Node rebinds onto the new bundle. Migration is pure locality
-// optimization — event keys and draw streams are unchanged by it, so
-// results stay byte-identical whether or not any node ever moves shard.
-//
-// CSMA under shards > 1: each shard's CsmaMedium is one carrier domain;
-// transmissions begun near a strip edge are mirrored into the audible
-// peer domains through the runner's rings, stamped half a backoff unit
-// after their start (which is why the runner's lookahead is
-// slot_duration / 2 for CSMA runs). The medium's grid-aligned,
-// one-unit-sensing-latency, captured-position semantics (see
-// mac/csma_mac.h) make every CCA and collision verdict a function of
-// record contents alone — K-invariant by construction.
+// Event keys (see sim/simulator.h): flow start-up events execute as their
+// endpoint node (owner id + 1), and every MAC delivery executes as its
+// receiver, so whatever the receiving stack schedules draws its tie from
+// the receiver's stream. Receive energy is charged when the delivery
+// executes.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/packet_pool.h"
 #include "core/transport.h"
 #include "mac/registry.h"
 #include "net/node.h"
@@ -64,11 +31,9 @@
 #include "phy/channel.h"
 #include "phy/energy_model.h"
 #include "phy/mobility.h"
-#include "phy/partition.h"
 #include "phy/topology.h"
 #include "routing/link_state.h"
 #include "sim/random.h"
-#include "sim/sharded.h"
 #include "sim/simulator.h"
 
 namespace jtp::net {
@@ -83,27 +48,6 @@ struct NetworkConfig {
   NodeConfig node;
   double slot_duration_s = 0.035;  // ~ one max-size packet airtime
   std::optional<phy::MobilityConfig> mobility;  // engaged => nodes move
-  // Parallel shards to run the event loop on (1 = classic serial loop).
-  // Works with every MAC and with mobility; the effective count can be
-  // lower than requested when the field is narrower than K radio ranges
-  // (see shard_count()).
-  std::size_t shards = 1;
-  // Shard-aware mobility: target spacing of migration barriers (rounded
-  // to a whole number of lookahead horizons), and the fraction of nodes
-  // that must sit outside their home strip before a hand-over pass
-  // runs. Only consulted when shards > 1 and mobility is engaged.
-  double migration_epoch_s = 1.0;
-  double halo_threshold = 0.02;
-};
-
-// Shard-migration accounting (diagnostic; see Network::migration_stats).
-struct MigrationStats {
-  std::uint64_t barriers = 0;        // epoch barriers evaluated
-  std::uint64_t handoff_passes = 0;  // barriers over the halo threshold
-  std::uint64_t migrations = 0;      // nodes handed to a new shard
-  std::uint64_t deferred = 0;        // drifted but stack not quiescent
-  std::uint64_t pinned = 0;          // drifted flow endpoints kept home
-  std::size_t out_of_strip_last = 0; // drifted nodes at the last barrier
 };
 
 class Network {
@@ -118,75 +62,34 @@ class Network {
   // it to the src/dst nodes, and returns the uniform handle. The flow is
   // idle until start() is invoked on it (FlowManager does the
   // scheduling). Throws std::invalid_argument on out-of-range endpoints
-  // or an unregistered protocol. Endpoint nodes are pinned to their home
-  // shards (their transports hold that shard's Env).
+  // or an unregistered protocol.
   FlowHandle add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                       const FlowOptions& opt = {});
 
-  // --- access (unqualified accessors answer from shard 0; under K = 1
-  // that is the whole simulation, and the replicated state — channel,
-  // routing view, MAC schedule — is identical in every shard) ---
-  sim::Simulator& simulator() { return shards_[0]->sim; }
-  core::Env& env() { return shards_[0]->env; }
-  core::PacketPool& packet_pool() { return shards_[0]->pool; }
-  // The master topology. Under sharded mobility the per-shard replicas
-  // advance during a run and the master is re-synced at every migration
-  // barrier and at run_until return — between calls it reflects the
-  // latest barrier, not mid-epoch motion.
+  // --- access ---
+  sim::Simulator& simulator() { return sim_; }
+  core::Env& env() { return env_; }
+  core::PacketPool& packet_pool() { return pool_; }
   phy::Topology& topology() { return topo_; }
-  phy::Channel& channel() { return shards_[0]->channel; }
-  phy::EnergyModel& energy() { return shards_[0]->energy; }
-  routing::LinkStateRouting& routing() { return *shards_[0]->routing; }
-  const mac::MacFabric& mac_fabric() const { return *shards_[0]->fabric; }
+  phy::Channel& channel() { return channel_; }
+  phy::EnergyModel& energy() { return energy_; }
+  routing::LinkStateRouting& routing() { return routing_; }
+  const mac::MacFabric& mac_fabric() const { return *fabric_; }
   Node& node(core::NodeId id) { return *nodes_.at(id); }
-  // The MAC instance that owns node `id`'s queues and counters (its
-  // owning shard's fabric; under K = 1, the only fabric). Migration
-  // moves the counters with the node, so this is always the replica
-  // with the full history.
-  mac::MacIface& mac_of(core::NodeId id) {
-    return shard_at(id).fabric->mac_of(id);
-  }
+  mac::MacIface& mac_of(core::NodeId id) { return fabric_->mac_of(id); }
   std::size_t size() const { return nodes_.size(); }
   sim::Rng& rng() { return rng_; }
   const NetworkConfig& config() const { return cfg_; }
-
-  // --- shard-aware access ---
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(core::NodeId id) const { return shard_of_.at(id); }
-  sim::Simulator& sim_for(core::NodeId id) { return shard_at(id).sim; }
-  core::Env& env_for(core::NodeId id) { return shard_at(id).env; }
-  double now_at(core::NodeId id) const {
-    return shards_[shard_of_.at(id)]->sim.now();
-  }
-  // Wall time outside a run (all shard clocks agree on run_until
-  // barriers; this is shard 0's clock).
-  double now() const { return shards_[0]->sim.now(); }
+  double now() const { return sim_.now(); }
   double slot_duration_s() const { return cfg_.slot_duration_s; }
-  // The runner's cross-shard lookahead: slot_duration, except CSMA runs
-  // where the mirror protocol needs half of it.
-  double lookahead_s() const { return lookahead_; }
-  // Cross-shard deliveries routed through the runner (0 under K = 1).
-  std::uint64_t cross_shard_messages() const {
-    return runner_ ? runner_->messages_posted() : 0;
-  }
-  const MigrationStats& migration_stats() const { return mig_stats_; }
 
-  // Schedules `fn` at absolute time `at` in node `id`'s shard, executing
-  // as that node (tie-break keys it draws come from the node's own
-  // stream, so the schedule is identical for every shard count). Call
-  // outside a run only (flow setup).
+  // Schedules `fn` at absolute time `at`, executing as node `id` (its
+  // tie comes from the root stream; what it schedules draws from the
+  // node's own stream). Call outside a run only (flow setup).
   void schedule_at_node(core::NodeId id, double at, std::function<void()> fn);
 
-  // Schedules `fn` `delay` from now at node `to`'s shard, from code
-  // currently executing in node `from`'s shard. Safe during a run;
-  // `delay` must be >= lookahead_s() when the nodes live in different
-  // shards.
-  void defer_from_to(core::NodeId from, core::NodeId to, double delay,
-                     std::function<void()> fn);
-
-  // Starts routing refresh (and mobility if configured) and runs the
-  // simulation until `t`. Under sharded mobility the run pauses at
-  // migration barriers every ~migration_epoch_s of virtual time.
+  // Starts routing refresh (and mobility if configured) on the first
+  // call, then runs the simulation until `t`.
   void run_until(double t);
 
   // --- aggregate counters across nodes ---
@@ -196,87 +99,47 @@ class Network {
   std::uint64_t total_cache_retransmissions() const;
   std::uint64_t total_transmissions() const;
   std::uint64_t total_route_drops() const;
-  // Sum of events executed by every shard's simulator. Not comparable
-  // across shard counts (each shard replays its own control plane).
-  std::uint64_t total_events_executed() const;
+  std::uint64_t total_events_executed() const {
+    return sim_.events_executed();
+  }
 
-  // --- energy, aggregated shard-invariantly ---
-  // Node i is charged only in its owning shard, in the same event order
-  // for every K; summing per node in index order keeps the floating-
-  // point total byte-identical across shard counts.
-  core::Joules node_energy(core::NodeId id) const;
+  // --- energy ---
+  // total_energy() is the index-order sum of node_energy(i), so it equals
+  // a caller's sum over per_node_energy() exactly (the energy model's
+  // running total accumulates in charge order and can differ in the last
+  // bits).
+  core::Joules node_energy(core::NodeId id) const {
+    return energy_.node_energy(id);
+  }
   core::Joules total_energy() const;
   std::vector<core::Joules> per_node_energy() const;
 
  private:
-  // One shard's full simulation bundle. The pool precedes the simulator:
-  // pending delivery events hold packet handles, and destroying the
-  // simulator releases them back into the pool (see sim_env.h). The
-  // topology replica (engaged only under sharded mobility) precedes
-  // everything that reads it; the mobility replica, which writes it and
-  // schedules on the simulator, comes last.
-  struct Shard {
-    Shard(const NetworkConfig& cfg, const phy::Topology& master,
-          bool replicate_topo);
-    const phy::Topology& topo() const { return *topo_view; }
-    std::unique_ptr<phy::Topology> topo_replica;  // null when static/K=1
-    const phy::Topology* topo_view = nullptr;     // replica or master
-    core::PacketPool pool;
-    sim::Simulator sim;
-    phy::Channel channel;
-    phy::EnergyModel energy;
-    std::unique_ptr<routing::LinkStateRouting> routing;
-    SimEnv env;
-    std::unique_ptr<mac::MacFabric> fabric;
-    std::unique_ptr<phy::RandomWaypoint> mobility;  // replica driver
-  };
-
-  Shard& shard_at(core::NodeId id) { return *shards_[shard_of_.at(id)]; }
-
-  // MAC delivery seam: schedules the delivery event in `to`'s shard
-  // (charging the receive energy there at execution time) — same-shard
-  // through the zero-alloc pipeline, cross-shard through the runner.
+  // MAC delivery seam: schedules the delivery `delay_s` from now,
+  // executing as the receiver, and charges the receive energy when it
+  // runs.
   void dispatch_delivery(double delay_s, core::PacketPtr&& p,
                          core::NodeId from, core::NodeId to);
-  void execute_delivery(core::PacketPtr&& p, core::NodeId from,
-                        core::NodeId to);
-
-  // CSMA mirror fan-out: posts shard `from`'s new transmission record to
-  // every peer strip it could be audible in, stamped start + unit/2.
-  void post_csma_mirror(std::size_t from, const mac::CsmaTxRecord& r);
-
-  // --- shard-aware mobility internals (barrier-time, single-threaded) ---
-  void sync_master_topology();    // master <- replica 0, via moved_since
-  void refresh_owned_bounds();    // per-shard owned-x intervals + margin
-  void migration_barrier();       // halo metric + hand-over pass
-  void migrate_node(core::NodeId id, std::size_t to);
 
   core::FlowId next_flow_id_ = 1;
 
   NetworkConfig cfg_;
   sim::Rng rng_;
   phy::Topology topo_;
-  phy::Partition part_;                // home strips (fixed geography)
-  std::vector<std::size_t> shard_of_;  // node -> owning shard (live)
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<phy::RandomWaypoint> mobility_;  // K = 1 only
+  // The pool precedes the simulator: pending delivery events hold packet
+  // handles, and destroying the simulator releases them back into the
+  // pool (see sim_env.h).
+  core::PacketPool pool_;
+  sim::Simulator sim_;
+  phy::Channel channel_;
+  phy::EnergyModel energy_;
+  routing::LinkStateRouting routing_;
+  SimEnv env_;
+  std::unique_ptr<mac::MacFabric> fabric_;
+  std::unique_ptr<phy::RandomWaypoint> mobility_;  // null when static
   FlowTable flows_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Declared after shards_ (it holds raw Simulator pointers) and before
-  // the endpoints; null under K = 1.
-  std::unique_ptr<sim::ShardedRunner> runner_;
   bool started_ = false;
-
-  double lookahead_ = 0.0;
-  double epoch_s_ = 0.0;             // barrier spacing (0 = no barriers)
-  std::uint64_t master_gen_cursor_ = 0;  // replica-0 generation synced
-  std::vector<bool> pinned_;         // flow endpoints never migrate
-  MigrationStats mig_stats_;
-  // Per-shard owned-node x bounds (+ margin) for CSMA mirror targeting;
-  // refreshed at construction and at every migration barrier.
-  std::vector<double> owned_lo_;
-  std::vector<double> owned_hi_;
-  double mirror_margin_ = 0.0;
 
   // Endpoint storage (stable addresses; destroyed before nodes/macs by
   // reverse member order).

@@ -58,9 +58,9 @@ class JtpFactory final : public TransportFactory {
 
     TransportEndpoints eps;
     eps.sender =
-        std::make_unique<core::EjtpSender>(net.env_for(src), net.node(src), s);
+        std::make_unique<core::EjtpSender>(net.env(), net.node(src), s);
     eps.receiver =
-        std::make_unique<core::EjtpReceiver>(net.env_for(dst), net.node(dst), r);
+        std::make_unique<core::EjtpReceiver>(net.env(), net.node(dst), r);
     return eps;
   }
 };
@@ -80,9 +80,9 @@ class TcpFactory final : public TransportFactory {
 
     TransportEndpoints eps;
     eps.sender = std::make_unique<baselines::TcpSackSender>(
-        net.env_for(src), net.node(src), c);
+        net.env(), net.node(src), c);
     eps.receiver = std::make_unique<baselines::TcpSackReceiver>(
-        net.env_for(dst), net.node(dst), c);
+        net.env(), net.node(dst), c);
     return eps;
   }
 };
@@ -103,9 +103,9 @@ class AtpFactory final : public TransportFactory {
 
     TransportEndpoints eps;
     eps.sender =
-        std::make_unique<baselines::AtpSender>(net.env_for(src), net.node(src), c);
+        std::make_unique<baselines::AtpSender>(net.env(), net.node(src), c);
     eps.receiver =
-        std::make_unique<baselines::AtpReceiver>(net.env_for(dst), net.node(dst), c);
+        std::make_unique<baselines::AtpReceiver>(net.env(), net.node(dst), c);
     return eps;
   }
 };
@@ -184,9 +184,9 @@ class JtpDrFactory final : public TransportFactory {
     dr.rate.max_rate_pps = rate_cap;
 
     TransportEndpoints eps;
-    eps.sender = std::make_unique<core::JtpDrSender>(net.env_for(src),
+    eps.sender = std::make_unique<core::JtpDrSender>(net.env(),
                                                      net.node(src), s, dr);
-    eps.receiver = std::make_unique<core::EjtpReceiver>(net.env_for(dst),
+    eps.receiver = std::make_unique<core::EjtpReceiver>(net.env(),
                                                         net.node(dst), r);
     return eps;
   }
@@ -215,10 +215,10 @@ class BbrFactory final : public TransportFactory {
     t.initial_rtt_s = path.rtt_estimate_s;
 
     TransportEndpoints eps;
-    eps.sender = std::make_unique<baselines::BbrSender>(net.env_for(src),
+    eps.sender = std::make_unique<baselines::BbrSender>(net.env(),
                                                         net.node(src), c);
     eps.receiver = std::make_unique<baselines::TcpSackReceiver>(
-        net.env_for(dst), net.node(dst), t);
+        net.env(), net.node(dst), t);
     return eps;
   }
 };

@@ -55,18 +55,6 @@ class Channel {
   const ChannelConfig& config() const { return cfg_; }
   double mean_good_dwell_s() const;
 
-  // Shard-migration handoff: moves every directed loss stream whose
-  // sender is `sender` out of `from` into this channel (overwriting any
-  // stream this replica lazily created for the same link), erasing them
-  // from the source. Loss draws happen once per MAC attempt on the
-  // sender's shard only, so after the MAC state moves, the stream
-  // positions must move with it — otherwise the adopting replica would
-  // restart each stream from its key-derived seed and diverge from the
-  // K = 1 draw sequence. Dwell (fading) state needs no handoff: its
-  // timeline is a pure function of the link key and the clock, so any
-  // replica replays it identically (see LinkState).
-  void adopt_sender_streams(core::NodeId sender, Channel& from);
-
   ChannelStats stats() const {
     return {links_.stats(), loss_.stats(), links_.size(), loss_.size()};
   }
@@ -74,9 +62,8 @@ class Channel {
  private:
   // Dwell (fading) state of an undirected link. Its rng feeds *only*
   // the flip timeline, so the sequence of (state, next_flip) pairs is a
-  // pure function of the link key and the clock — two Channel replicas
-  // (one per shard, under the sharded runner) advancing lazily at
-  // different query times still replay the identical timeline.
+  // pure function of the link key and the clock — advancing lazily at
+  // different query times replays the identical timeline.
   struct LinkState {
     bool bad = false;
     sim::Time next_flip = 0.0;
@@ -86,8 +73,7 @@ class Channel {
   void advance(LinkState& s, sim::Time now);
 
   // Per-attempt loss draws come from a separate stream keyed by the
-  // *directed* link: only the sender's shard ever draws (a -> b), so
-  // replicas never race on — or double-consume — a shared stream.
+  // *directed* link (a -> b), so one link's draws never shift another's.
   sim::Rng& loss_rng_for(core::NodeId a, core::NodeId b);
 
   ChannelConfig cfg_;

@@ -65,18 +65,6 @@ class PackedLinkTable {
   std::size_t bucket_count() const { return buckets_.size(); }
   const LinkTableStats& stats() const { return stats_; }
 
-  // Visits every live (key, value) pair in bucket order. Bucket order is
-  // layout-dependent — callers that need determinism (the migration path
-  // collecting a node's loss streams) must sort what they collect by key
-  // before acting on it.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (const std::uint32_t idx : buckets_) {
-      if (idx == kNil) continue;
-      fn(slots_[idx].key, slots_[idx].value);
-    }
-  }
-
   // Pointer to the value for `key`, or nullptr. Valid until next insert.
   V* find(std::uint64_t key) {
     ++stats_.lookups;

@@ -18,11 +18,11 @@ Topology::Topology(std::size_t n_nodes, double radio_range_m)
     : pos_(n_nodes), range_(radio_range_m), cell_key_(n_nodes) {
   if (n_nodes == 0) throw std::invalid_argument("Topology: no nodes");
   if (radio_range_m <= 0) throw std::invalid_argument("Topology: bad range");
-  // Sized for the sharded master-topology sync in net/network.cc, which
-  // reads the ring once per migration epoch (1 s by default, one
-  // waypoint tick): even with every node moving, 4 generations per node
-  // of slack covers a few ticks. On overflow that sync falls back to a
-  // full positional diff.
+  // Sized for a consumer that reads the ring about once per waypoint
+  // tick — the planned one is local recoloring of spatial-reuse TDMA
+  // (recolor only around the nodes that moved): even with every node
+  // moving, 4 generations per node of slack covers a few ticks. On
+  // overflow the consumer falls back to a full pass.
   move_ring_.assign(std::max<std::size_t>(64, 4 * n_nodes),
                     core::kInvalidNode);
   const CellKey origin = cell_of(Position{});

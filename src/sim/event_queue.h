@@ -3,11 +3,11 @@
 // Events are ordered by (time, tie-key). push() draws the tie from an
 // internal counter, so same-instant events fire in insertion order
 // (FIFO) — deterministic across runs and platforms. push_keyed() lets
-// the caller supply the tie explicitly; the sharded runner uses this to
-// give every event a key that is independent of which shard computes it
-// (owner-id ‖ per-owner sequence number), so the per-node execution
-// order is reproduced exactly for any shard count. Each keyed event
-// also carries an `exec_owner` tag that the Simulator restores as the
+// the caller supply the tie explicitly; the Simulator uses this to key
+// every event by (owner-id ‖ per-owner sequence number), so same-instant
+// events run in owner order rather than insertion order — the tie-break
+// the committed baselines were recorded under. Each keyed event also
+// carries an `exec_owner` tag that the Simulator restores as the
 // scheduling context while the callback runs.
 //
 // Layout: every pending event lives in a slot of a freelist-recycled
@@ -87,16 +87,6 @@ class EventQueue {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-
-  // True if any pending event would execute as `owner`. Linear in the
-  // pending-event count; used by the sharded network's migration
-  // eligibility check, which runs at epoch barriers, never on the hot
-  // path.
-  bool has_owner(std::uint32_t owner) const {
-    for (const HeapNode& n : heap_)
-      if (slots_[n.idx].exec_owner == owner) return true;
-    return false;
-  }
 
   // Time of the earliest live event. Requires !empty().
   Time next_time() const {

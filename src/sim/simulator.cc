@@ -4,20 +4,15 @@
 
 namespace jtp::sim {
 
-void Simulator::step() {
-  assert(!queue_.empty());
-  auto ev = queue_.pop();
-  assert(ev.at >= now_);
-  now_ = ev.at;
-  ctx_ = ev.exec_owner;
-  ev.fn();
-  ++executed_;
-}
-
 std::uint64_t Simulator::run_until(Time t) {
   std::uint64_t ran = 0;
   while (!queue_.empty() && queue_.next_time() <= t) {
-    step();
+    auto ev = queue_.pop();
+    assert(ev.at >= now_);
+    now_ = ev.at;
+    ctx_ = ev.exec_owner;
+    ev.fn();
+    ++executed_;
     ++ran;
   }
   ctx_ = 0;

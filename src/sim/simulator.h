@@ -11,15 +11,13 @@
 // Deterministic event keys. Every event is ordered by (time, tie) where
 // tie = (owner << kOwnerShift) | per-owner sequence number. The *owner*
 // is a small integer naming the logical entity whose causal stream the
-// event belongs to (the sharded network uses node-id + 1; 0 is the
-// root/setup stream). While an event runs, context() is set to the
-// event's exec_owner, and schedule()/at() draw their tie from that
-// stream — so the key of every event is a function of its owner's local
-// history alone, never of how streams from different owners interleave
-// in one queue. That is what makes the order shard-invariant: partition
-// the owners across K simulators and each owner draws the exact same
-// keys it would draw in one, so merging the per-shard event sequences
-// by (time, tie) reproduces the single-simulator order byte for byte.
+// event belongs to (the network uses node-id + 1; 0 is the root/setup
+// stream). While an event runs, context() is set to the event's
+// exec_owner, and schedule()/at() draw their tie from that stream — so
+// same-instant events run in owner order, and within one owner in draw
+// order, never in raw insertion order. This owner-keyed tie-break is a
+// model choice: every committed baseline was recorded under it, so it
+// stays fixed.
 #pragma once
 
 #include <cstdint>
@@ -64,10 +62,9 @@ class Simulator {
     return queue_.push_keyed(at, draw_tie(ctx_), ctx_, std::forward<F>(fn));
   }
 
-  // Schedules with an explicit (tie, exec_owner) key — no draw. This is
-  // the cross-shard injection point: the sender's simulator draws the
-  // tie, the message carries it, and the receiving simulator files the
-  // event under exactly that key.
+  // Schedules with an explicit (tie, exec_owner) key — no draw. The
+  // caller draws the tie (draw_tie) from the stream it wants the event
+  // ordered by; the event then runs as `exec_owner`.
   template <typename F>
   EventId at_keyed(Time at, std::uint64_t tie, std::uint32_t exec_owner,
                    F&& fn) {
@@ -108,21 +105,6 @@ class Simulator {
   // Runs until the queue drains.
   std::uint64_t run() { return run_until(std::numeric_limits<Time>::max()); }
 
-  // Pops and executes exactly one event (requires pending()); the
-  // sharded runner's horizon loop steps the queue with this.
-  void step();
-
-  // Time of the earliest pending event. Requires pending().
-  Time next_time() const { return queue_.next_time(); }
-
-  // Advances the clock without executing anything (t >= now()); the
-  // sharded runner uses it to land every shard exactly on the barrier.
-  void advance_to(Time t) {
-    if (t < now_)
-      throw std::invalid_argument("Simulator::advance_to: time in the past");
-    now_ = t;
-  }
-
   // Drops all pending events and rewinds the clock to zero. Pooled event
   // slots and spill blocks are retained, so a reset-and-rerun reuses the
   // previous run's capacity instead of reallocating it.
@@ -130,12 +112,6 @@ class Simulator {
 
   std::uint64_t events_executed() const { return executed_; }
   bool pending() const { return !queue_.empty(); }
-
-  // True if any pending event executes as `owner` (node migration's
-  // quiescence check; O(pending), barrier-time only).
-  bool has_pending_owner(std::uint32_t owner) const {
-    return queue_.has_owner(owner);
-  }
 
   PoolStats event_pool_stats() const { return queue_.slot_stats(); }
   const PoolStats& callback_spill_stats() const {

@@ -50,6 +50,7 @@ TEST(ParseArgs, UnknownFlagIsError) {
   const auto r = parse({"--bogus"});
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.error.find("--bogus"), std::string::npos);
+  EXPECT_FALSE(parse({"--shards", "2"}).ok());  // no longer a flag
 }
 
 TEST(ParseArgs, MissingValueIsError) {

@@ -110,8 +110,7 @@ TEST(Channel, DeterministicUnderPermutedCreationOrder) {
   // Two replicas of the same channel touch the same links in opposite
   // orders. Every per-link stream is derived from the master rng by key,
   // so neither dwell timelines nor loss draws may depend on creation
-  // order — the property the sharded runner's per-shard replicas and the
-  // committed baselines rest on.
+  // order — a property the committed baselines rest on.
   Channel fwd(cfg(), sim::Rng(11));
   Channel rev(cfg(), sim::Rng(11));
   const int kLinks = 12;

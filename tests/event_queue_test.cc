@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "sim/simulator.h"
 
 namespace jtp::sim {
 namespace {
@@ -221,6 +225,45 @@ TEST(EventQueue, BeyondBlockSizeIsCountedAsOversize) {
   q.pop().fn();
   EXPECT_EQ(q.spill_stats().in_use, 0u);
   EXPECT_EQ(sink, 1);
+}
+
+// ------------------------ keyed event ordering -------------------------
+// Same-instant events run in owner order (the high bits of the tie), not
+// insertion order; each owner's keys come from its own counter.
+
+TEST(KeyedOrdering, EqualTimesRunInTieOrderNotInsertionOrder) {
+  Simulator sim;
+  std::string order;
+  // Owner 2 draws its key first but is inserted last; owner order (high
+  // bits of the tie) must win over both insertion order and draw order.
+  const auto tie_b = sim.draw_tie(2);
+  const auto tie_a = sim.draw_tie(1);
+  sim.at_keyed(1.0, tie_b, 2, [&] { order += 'b'; });
+  sim.at_keyed(1.0, tie_a, 1, [&] { order += 'a'; });
+  sim.run();
+  EXPECT_EQ(order, "ab");
+}
+
+TEST(KeyedOrdering, DrawsAreAFunctionOfTheOwnerStreamAlone) {
+  // Interleaving other owners' draws must not disturb owner 1's keys.
+  Simulator a, b;
+  const auto k0 = a.draw_tie(1);
+  const auto k1 = a.draw_tie(1);
+  (void)b.draw_tie(7);
+  const auto m0 = b.draw_tie(1);
+  (void)b.draw_tie(3);
+  const auto m1 = b.draw_tie(1);
+  EXPECT_EQ(k0, m0);
+  EXPECT_EQ(k1, m1);
+}
+
+TEST(KeyedOrdering, ExecutionContextFollowsTheRunningEvent) {
+  Simulator sim;
+  std::uint32_t seen = 0;
+  sim.at_keyed(1.0, sim.draw_tie(5), 5, [&] { seen = sim.context(); });
+  sim.run();
+  EXPECT_EQ(seen, 5u);
+  EXPECT_EQ(sim.context(), 0u);  // restored outside the loop
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "exp/runner.h"
 #include "exp/scenario.h"
@@ -304,6 +306,7 @@ TEST(ScenarioSpecParse, RejectsMalformedInput) {
   EXPECT_FALSE(parse_scenario("=3").ok());               // empty key
   EXPECT_FALSE(parse_scenario("net_size=4,,seed=1").ok());  // empty token
   EXPECT_FALSE(parse_scenario("no_such_preset").ok());
+  EXPECT_FALSE(parse_scenario("shards=2").ok());         // no longer a key
   EXPECT_FALSE(parse_scenario("net_size=4,linear").ok());  // preset not 1st
   EXPECT_FALSE(parse_scenario("seed=1e4").ok());         // ints are digits
   // strtoull saturation must not slip through as ULLONG_MAX.
@@ -353,7 +356,6 @@ ScenarioSpec random_valid_spec(sim::Rng& rng) {
   s.slot_duration_s = in(1e-6, 10.0);
   s.routing_refresh_s = in(1e-3, 1e6);
   s.seed = rng.engine()();
-  s.shards = size(1);
   s.mac = static_cast<mac::Mac>(pick(3));  // the CLI-parseable MACs
   if (s.mac == mac::Mac::kTdmaReuse) s.reuse_margin = in(1.0, 4.0);
   if (s.mac == mac::Mac::kCsma) {
@@ -718,165 +720,79 @@ INSTANTIATE_TEST_SUITE_P(AllProtos, DeterminismTest,
                          ::testing::Values(Proto::kJtp, Proto::kTcp,
                                            Proto::kAtp));
 
-// The sharded event loop's headline contract: splitting one run across K
-// worker threads must not change a single result bit. A 400-node scale
-// field partitions into real shards with busy boundaries (the fan-in
-// workload converges on node 0, so traffic crosses every cut), and every
-// metric — counts, FP energy sums, per-node energy vectors — must come
-// out identical to the single-threaded run.
-TEST(ShardDeterminism, ScaleScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kTdmaReuse;  // real throughput => busy boundaries
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    auto m = s.flows->collect(40.0);
-    return m;
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);  // the comparison is not vacuous
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.source_retransmissions, ref.source_retransmissions);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.cache_retransmissions, ref.cache_retransmissions);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
-                     ref.per_flow_goodput_kbps_mean);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
-  }
+// Conservation over whole runs: the network's aggregate counters must be
+// the sums of their per-node parts, and a same-seed rerun must reproduce
+// every counter and energy cell. The mobile field runs under each CLI MAC
+// (churn, stale routes, CSMA collisions); the static scale preset covers
+// the fixed-topology path. 20 simulated seconds reaches the fan-in
+// flows, which start at 10 s.
+std::vector<std::string> conservation_specs() {
+  return {"scale_mobile,net_size=200,mac=tdma",
+          "scale_mobile,net_size=200,mac=tdma_reuse",
+          "scale_mobile,net_size=200,mac=csma", "scale"};
 }
 
-// The delivery-rate transports keep the same contract: their sampler /
-// model state lives entirely on the flow endpoints, so sharding the
-// event loop under them must not perturb a single sample. A smaller
-// field than the kJtp test keeps the added runtime modest while still
-// partitioning into real shards at K=4.
-TEST(ShardDeterminism, DeliveryRateProtosAreBitIdenticalAcrossShardCounts) {
-  for (const auto proto : {Proto::kJtpDr, Proto::kBbr}) {
-    SCOPED_TRACE(proto_name(proto));
-    auto run = [&](std::size_t shards) {
-      auto sc = preset("scale");
-      sc.net_size = 100;
-      sc.seed = 5;
-      sc.proto = proto;
-      sc.mac = mac::Mac::kTdmaReuse;
-      sc.shards = shards;
-      auto s = build(sc);
-      s.network->run_until(40.0);
-      return s.flows->collect(40.0);
-    };
-    const auto ref = run(1);
-    EXPECT_GT(ref.delivered_packets, 0u);
-    for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(k));
-      const auto got = run(k);
-      EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-      EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-      EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-      EXPECT_EQ(got.acks_sent, ref.acks_sent);
-      EXPECT_EQ(got.transmissions, ref.transmissions);
-      EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
-                       ref.per_flow_goodput_kbps_mean);
-      EXPECT_DOUBLE_EQ(got.jain_fairness, ref.jain_fairness);
-      EXPECT_DOUBLE_EQ(got.p99_completion_s, ref.p99_completion_s);
-      EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
+constexpr double kConservationHorizonS = 20.0;
+
+Scenario build_spec(const std::string& text) {
+  const auto parsed = parse_scenario(text);
+  if (!parsed.ok()) throw std::invalid_argument(parsed.error);
+  return build(parsed.spec);
+}
+
+TEST(NetworkConservation, AggregatesAreSumsOfPerNodeParts) {
+  for (const auto& text : conservation_specs()) {
+    SCOPED_TRACE(text);
+    auto s = build_spec(text);
+    s.network->run_until(kConservationHorizonS);
+    net::Network& net = *s.network;
+
+    const auto energy = net.per_node_energy();
+    ASSERT_EQ(energy.size(), net.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < energy.size(); ++i) {
+      EXPECT_GE(energy[i], 0.0) << "node " << i;
+      sum += energy[i];
     }
+    EXPECT_GT(sum, 0.0);
+    EXPECT_EQ(sum, net.total_energy());  // exact: index-order sum
+
+    std::uint64_t xmits = 0, deliveries = 0;
+    for (core::NodeId i = 0; i < net.size(); ++i) {
+      xmits += net.mac_of(i).transmissions();
+      deliveries += net.mac_of(i).deliveries();
+    }
+    EXPECT_GT(xmits, 0u);
+    EXPECT_EQ(xmits, net.total_transmissions());
+    EXPECT_LE(deliveries, xmits);
   }
 }
 
-// The mobile tier under the same contract: per-shard trajectory
-// replicas replay identical motion, and epoch-barrier migration re-homes
-// drifted nodes without touching a draw stream — so the full metric
-// vector, per-node energy included, is bit-equal for every K. 40
-// simulated seconds of 1 m/s waypoint churn over a 400-node field
-// crosses routing refreshes, halo growth and (at this speed) migration
-// passes.
-TEST(ShardDeterminism, MobileScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale_mobile");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kTdmaReuse;
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    return s.flows->collect(40.0);
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.source_retransmissions, ref.source_retransmissions);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.cache_retransmissions, ref.cache_retransmissions);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.per_flow_goodput_kbps_mean,
-                     ref.per_flow_goodput_kbps_mean);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
-  }
-}
-
-// CSMA's carrier splits into per-strip domains coupled by boundary
-// mirrors; CCA reads and collision verdicts are computed over captured
-// record geometry, so every verdict — and with it every counter and
-// energy cell — must be K-invariant. The fan-in sink concentrates
-// contention, and a 400-node field puts real traffic on the strip
-// boundaries.
-TEST(ShardDeterminism, CsmaScenarioIsBitIdenticalAcrossShardCounts) {
-  auto run = [](std::size_t shards) {
-    auto sc = preset("scale");
-    sc.net_size = 400;
-    sc.seed = 5;
-    sc.mac = mac::Mac::kCsma;
-    sc.shards = shards;
-    auto s = build(sc);
-    s.network->run_until(40.0);
-    return s.flows->collect(40.0);
-  };
-  const auto ref = run(1);
-  EXPECT_GT(ref.delivered_packets, 0u);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("shards=" + std::to_string(k));
-    const auto got = run(k);
-    EXPECT_EQ(got.delivered_packets, ref.delivered_packets);
-    EXPECT_EQ(got.delivered_payload_bits, ref.delivered_payload_bits);
-    EXPECT_EQ(got.data_packets_sent, ref.data_packets_sent);
-    EXPECT_EQ(got.acks_sent, ref.acks_sent);
-    EXPECT_EQ(got.transmissions, ref.transmissions);
-    EXPECT_EQ(got.queue_drops, ref.queue_drops);
-    EXPECT_EQ(got.attempt_drops, ref.attempt_drops);
-    EXPECT_EQ(got.route_drops, ref.route_drops);
-    EXPECT_DOUBLE_EQ(got.total_energy_j, ref.total_energy_j);
-    ASSERT_EQ(got.per_node_energy_j.size(), ref.per_node_energy_j.size());
-    for (std::size_t i = 0; i < ref.per_node_energy_j.size(); ++i)
-      ASSERT_DOUBLE_EQ(got.per_node_energy_j[i], ref.per_node_energy_j[i])
-          << "node " << i;
+TEST(NetworkConservation, SameSeedRerunIsBitIdentical) {
+  for (const auto& text : conservation_specs()) {
+    SCOPED_TRACE(text);
+    auto run = [&] {
+      auto s = build_spec(text);
+      s.network->run_until(kConservationHorizonS);
+      return s.flows->collect(kConservationHorizonS);
+    };
+    const auto a = run();
+    const auto b = run();
+    EXPECT_GT(a.transmissions, 0u);
+    EXPECT_EQ(a.per_node_energy_j, b.per_node_energy_j);
+    EXPECT_EQ(a.total_energy_j, b.total_energy_j);
+    EXPECT_EQ(a.delivered_payload_bits, b.delivered_payload_bits);
+    EXPECT_EQ(a.delivered_packets, b.delivered_packets);
+    EXPECT_EQ(a.waived_packets, b.waived_packets);
+    EXPECT_EQ(a.data_packets_sent, b.data_packets_sent);
+    EXPECT_EQ(a.source_retransmissions, b.source_retransmissions);
+    EXPECT_EQ(a.cache_retransmissions, b.cache_retransmissions);
+    EXPECT_EQ(a.acks_sent, b.acks_sent);
+    EXPECT_EQ(a.queue_drops, b.queue_drops);
+    EXPECT_EQ(a.attempt_drops, b.attempt_drops);
+    EXPECT_EQ(a.energy_budget_drops, b.energy_budget_drops);
+    EXPECT_EQ(a.route_drops, b.route_drops);
+    EXPECT_EQ(a.transmissions, b.transmissions);
   }
 }
 
