@@ -333,9 +333,10 @@ void BM_TdmaNextOwnedSlot(benchmark::State& state) {
 }
 BENCHMARK(BM_TdmaNextOwnedSlot)->Arg(8)->Arg(25);
 
-// The spatial-reuse MAC's recolor cost: one full greedy 2-hop coloring of
-// a connected random field. This is the per-topology-change control-plane
-// price of slot reuse; grid-gathered candidates keep it near-linear in n.
+// One full greedy 2-hop coloring of a connected random field: what the
+// spatial-reuse MAC pays at construction and when the topology's move
+// ring overflows between syncs. Per-node neighbor lists keep it
+// O(n · degree²).
 void BM_InterferenceColoring(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(7);
@@ -349,6 +350,31 @@ void BM_InterferenceColoring(benchmark::State& state) {
 BENCHMARK(BM_InterferenceColoring)
     ->Arg(25)
     ->Arg(400)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
+
+// The per-generation recolor under waypoint churn: one node steps 1 m
+// (alternating direction, so it oscillates in place), then the persistent
+// colorer syncs — one neighbor-list re-query, and greedy re-runs only if
+// a link changed.
+void BM_InterferenceRecolorSmallMove(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(7);
+  auto topo = scale_field(n, rng);
+  mac::InterferenceColorer colorer(topo, 1.0);
+  const auto mover = static_cast<core::NodeId>(n / 2);
+  double step = 1.0;
+  for (auto _ : state) {
+    const auto p = topo.position(mover);
+    topo.set_position(mover, {p.x + step, p.y});
+    step = -step;
+    benchmark::DoNotOptimize(colorer.sync());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_InterferenceRecolorSmallMove)
+    ->Arg(400)
+    ->Arg(1000)
     ->Unit(benchmark::kMicrosecond);
 
 // One CSMA contention cycle end to end: enqueue on an idle 2-node rig,

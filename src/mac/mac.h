@@ -71,7 +71,7 @@ struct PreXmitDecision {
 // the control plane). Classic TDMA is the degenerate coloring: every node
 // its own color, reuse factor 1. CSMA has no coloring; all zeros.
 struct MacStats {
-  std::uint64_t recolors = 0;     // interference recolorings performed
+  std::uint64_t recolors = 0;     // coloring syncs (topology generations seen)
   std::size_t colors_used = 0;    // slots per frame
   std::size_t max_color = 0;      // highest color index assigned
   double reuse_factor = 1.0;      // n / colors_used

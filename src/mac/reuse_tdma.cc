@@ -1,5 +1,6 @@
 #include "mac/reuse_tdma.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,20 +8,28 @@ namespace jtp::mac {
 
 ReuseSchedule::ReuseSchedule(const phy::Topology& topo, double slot_duration_s,
                              std::uint64_t seed, double range_margin)
-    : topo_(topo), slot_s_(slot_duration_s), seed_(seed), margin_(range_margin) {
+    : topo_(topo),
+      slot_s_(slot_duration_s),
+      seed_(seed),
+      colorer_(topo, range_margin),
+      colored_gen_(topo.generation()) {
   if (slot_duration_s <= 0.0)
     throw std::invalid_argument("ReuseSchedule: slot duration must be > 0");
-  ensure();
+  // The permutation over colors keeps the slot -> color map pseudo-random
+  // per frame, same discipline (and seed) as the classic schedule.
+  slots_.emplace(std::max<std::size_t>(colorer_.colors_used(), 1), slot_s_,
+                 seed_);
 }
 
 void ReuseSchedule::ensure() const {
   const std::uint64_t gen = topo_.generation();
   if (gen == colored_gen_) return;
-  coloring_ = color_interference(topo_, margin_);
-  // The permutation over colors keeps the slot -> color map pseudo-random
-  // per frame, same discipline (and seed) as the classic schedule.
-  slots_.emplace(std::max<std::size_t>(coloring_.colors_used, 1), slot_s_,
-                 seed_);
+  const std::size_t before = colorer_.colors_used();
+  colorer_.sync();
+  // The slot schedule is a pure function of (frame slots, slot, seed).
+  if (colorer_.colors_used() != before)
+    slots_.emplace(std::max<std::size_t>(colorer_.colors_used(), 1), slot_s_,
+                   seed_);
   colored_gen_ = gen;
   ++recolors_;
 }
@@ -54,23 +63,22 @@ double ReuseSchedule::frame_duration() const {
 
 std::uint32_t ReuseSchedule::color_of(core::NodeId node) const {
   ensure();
-  if (node >= coloring_.color.size())
+  const auto& color = colorer_.colors();
+  if (node >= color.size())
     throw std::out_of_range("ReuseSchedule: node id out of range");
-  return coloring_.color[node];
+  return color[node];
 }
 
 MacStats ReuseSchedule::stats() const {
   ensure();
+  const std::size_t used = colorer_.colors_used();
   MacStats st;
   st.recolors = recolors_;
-  st.colors_used = coloring_.colors_used;
-  st.max_color =
-      coloring_.colors_used == 0 ? 0 : coloring_.colors_used - 1;
-  st.reuse_factor =
-      coloring_.colors_used == 0
-          ? 1.0
-          : static_cast<double>(coloring_.color.size()) /
-                static_cast<double>(coloring_.colors_used);
+  st.colors_used = used;
+  st.max_color = used == 0 ? 0 : used - 1;
+  st.reuse_factor = used == 0 ? 1.0
+                              : static_cast<double>(colorer_.colors().size()) /
+                                    static_cast<double>(used);
   return st;
 }
 

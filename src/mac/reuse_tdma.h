@@ -7,13 +7,17 @@
 // concurrently, collision-free by the coloring property, so capacity is a
 // function of local density (the chromatic bound), not of n.
 //
-// The coloring is recomputed lazily off the topology's generation
-// counter, exactly like the routing view (PR 5): a static field colors
-// once; under mobility a recolor happens at most once per position
-// change, and only when the MAC actually consults the schedule. The slot
+// The coloring is synced lazily off the topology's generation counter,
+// like the routing view: a static field colors once; under mobility the
+// schedule syncs its InterferenceColorer only when the MAC consults it
+// after a position change, and the sync re-runs greedy only where the
+// link graph changed (usually nowhere: a 1 m waypoint step rarely makes
+// or breaks a link), with a result identical to a fresh pass. The slot
 // permutation over colors reuses TdmaSchedule, seeded like the classic
-// schedule so runs stay deterministic across recolors. MacStats is the
-// observable contract: recolors, colors_used, max_color, reuse_factor.
+// schedule so runs stay deterministic across recolors; it is rebuilt
+// only when the color count changes. MacStats is the observable
+// contract: recolors (generation syncs), colors_used, max_color,
+// reuse_factor.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,8 @@ class ReuseSchedule {
   ReuseSchedule(const phy::Topology& topo, double slot_duration_s,
                 std::uint64_t seed, double range_margin);
 
-  // Recolors if the topology generation changed since the last coloring.
+  // Syncs the coloring if the topology generation changed since the last
+  // sync.
   void ensure() const;
 
   double slot_duration() const { return slot_s_; }
@@ -58,12 +63,11 @@ class ReuseSchedule {
   const phy::Topology& topo_;
   double slot_s_;
   std::uint64_t seed_;
-  double margin_;
 
-  mutable Coloring coloring_;
+  mutable InterferenceColorer colorer_;
   mutable std::optional<TdmaSchedule> slots_;  // permutation over colors
-  mutable std::uint64_t colored_gen_ = ~0ULL;
-  mutable std::uint64_t recolors_ = 0;
+  mutable std::uint64_t colored_gen_;
+  mutable std::uint64_t recolors_ = 1;  // the construction-time coloring
 };
 
 // One node's spatial-reuse MAC: the shared slot-timed loop bound to the

@@ -19,10 +19,10 @@ Topology::Topology(std::size_t n_nodes, double radio_range_m)
   if (n_nodes == 0) throw std::invalid_argument("Topology: no nodes");
   if (radio_range_m <= 0) throw std::invalid_argument("Topology: bad range");
   // Sized for a consumer that reads the ring about once per waypoint
-  // tick — the planned one is local recoloring of spatial-reuse TDMA
-  // (recolor only around the nodes that moved): even with every node
-  // moving, 4 generations per node of slack covers a few ticks. On
-  // overflow the consumer falls back to a full pass.
+  // tick — the interference colorer of spatial-reuse TDMA, which recolors
+  // only around the nodes that moved: even with every node moving, 4
+  // generations per node of slack covers a few ticks. On overflow the
+  // colorer falls back to a full rebuild.
   move_ring_.assign(std::max<std::size_t>(64, 4 * n_nodes),
                     core::kInvalidNode);
   const CellKey origin = cell_of(Position{});
@@ -83,18 +83,21 @@ bool Topology::in_range(core::NodeId a, core::NodeId b) const {
   return distance(pos_.at(a), pos_.at(b)) <= range_;
 }
 
-void Topology::neighbors_into(core::NodeId id,
-                              std::vector<core::NodeId>& out) const {
+void Topology::within_into(core::NodeId id, double radius,
+                           std::vector<core::NodeId>& out) const {
   out.clear();
   const Position& p = pos_.at(id);
   const auto cx = static_cast<std::int64_t>(std::floor(p.x / range_));
   const auto cy = static_cast<std::int64_t>(std::floor(p.y / range_));
-  for (std::int64_t dx = -1; dx <= 1; ++dx) {
-    for (std::int64_t dy = -1; dy <= 1; ++dy) {
+  // Cells have side R, so a node within `radius` lies at most
+  // ceil(radius / R) cells away on each axis (one for the radio range).
+  const auto k = static_cast<std::int64_t>(std::ceil(radius / range_));
+  for (std::int64_t dx = -k; dx <= k; ++dx) {
+    for (std::int64_t dy = -k; dy <= k; ++dy) {
       const auto it = cells_.find(pack_cell(cx + dx, cy + dy));
       if (it == cells_.end()) continue;
       for (const core::NodeId j : it->second)
-        if (j != id && distance(p, pos_[j]) <= range_) out.push_back(j);
+        if (j != id && distance(p, pos_[j]) <= radius) out.push_back(j);
     }
   }
   std::sort(out.begin(), out.end());

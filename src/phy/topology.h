@@ -52,9 +52,11 @@ class Topology {
   // (gen, generation()], ascending. The answer comes from a bounded ring
   // of recent moves (one entry per generation, capacity ~4n), so a
   // consumer that syncs regularly pays O(moves since last sync) instead
-  // of re-snapshotting positions it already holds. Returns false when
-  // the window is no longer covered by the ring — the caller must treat
-  // that as "every node may have moved" and fall back to a full diff.
+  // of re-snapshotting positions it already holds; the interference
+  // colorer of spatial-reuse TDMA (mac::InterferenceColorer) re-queries
+  // only these nodes' neighbor lists. Returns false when the window is no
+  // longer covered by the ring — the caller must treat that as "every
+  // node may have moved" and fall back to a full rebuild.
   bool moved_since(std::uint64_t gen, std::vector<core::NodeId>& out) const;
 
   // Capacity of the move ring (generations of history moved_since can
@@ -68,7 +70,14 @@ class Topology {
   // fills it with the in-range ids in ascending order — the same order
   // the full-scan implementation produced, which the routing tie-breaks
   // (and therefore the committed baselines) depend on.
-  void neighbors_into(core::NodeId id, std::vector<core::NodeId>& out) const;
+  void neighbors_into(core::NodeId id, std::vector<core::NodeId>& out) const {
+    within_into(id, range_, out);
+  }
+
+  // The same query for any radius: every other node with
+  // distance(position(id), position(j)) <= radius, ascending.
+  void within_into(core::NodeId id, double radius,
+                   std::vector<core::NodeId>& out) const;
 
   // True if the range graph is a single connected component.
   bool connected() const;

@@ -6,12 +6,18 @@
 // brute-force conflict oracle on random fields (including translated
 // fields with negative coordinates and post-churn layouts), plus the two
 // analytic extremes — a clique needs n colors (reuse factor exactly 1)
-// and a sparse chain needs exactly 3 (reuse > 1).
+// and a sparse chain needs exactly 3 (reuse > 1). The incremental
+// colorer is pinned against a fresh pass after every sync under seeded
+// churn, and a fresh pass against a brute-force greedy.
 #include "mac/interference.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "mac/reuse_tdma.h"
 #include "phy/topology.h"
@@ -51,6 +57,35 @@ void expect_proper(const phy::Topology& topo, const Coloring& c,
     }
   }
   EXPECT_EQ(c.colors_used, static_cast<std::size_t>(max_seen) + 1);
+}
+
+// Greedy in id order straight from the definition, over the brute-force
+// conflict relation.
+Coloring greedy_bf(const phy::Topology& topo, double margin) {
+  Coloring c;
+  c.color.assign(topo.size(), 0);
+  for (core::NodeId a = 0; a < topo.size(); ++a) {
+    std::vector<bool> used(topo.size() + 1, false);
+    for (core::NodeId b = 0; b < a; ++b)
+      if (conflicts_bf(topo, a, b, margin)) used[c.color[b]] = true;
+    std::uint32_t k = 0;
+    while (used[k]) ++k;
+    c.color[a] = k;
+    c.colors_used = std::max<std::size_t>(c.colors_used, k + 1);
+  }
+  return c;
+}
+
+// Every pair (a < b) within `radius`: the link graph at R, the direct
+// conflict graph at margin·R.
+std::vector<std::pair<core::NodeId, core::NodeId>> pairs_within(
+    const phy::Topology& topo, double radius) {
+  std::vector<std::pair<core::NodeId, core::NodeId>> out;
+  for (core::NodeId a = 0; a < topo.size(); ++a)
+    for (core::NodeId b = a + 1; b < topo.size(); ++b)
+      if (phy::distance(topo.position(a), topo.position(b)) <= radius)
+        out.emplace_back(a, b);
+  return out;
 }
 
 phy::Topology random_field(std::size_t n, double side, std::uint64_t seed) {
@@ -105,6 +140,119 @@ TEST(InterferenceColoring, SafeAfterChurn) {
   }
 }
 
+TEST(InterferenceColoring, EqualsBruteForceGreedy) {
+  for (double margin : {1.0, 1.5, 3.0}) {
+    auto topo = random_field(45, 230.0, 31);
+    EXPECT_EQ(color_interference(topo, margin).color,
+              greedy_bf(topo, margin).color)
+        << "margin " << margin;
+    for (core::NodeId i = 0; i < topo.size(); ++i) {
+      const auto p = topo.position(i);
+      topo.set_position(i, {p.x - 180.0, p.y - 95.5});
+    }
+    const auto shifted = color_interference(topo, margin);
+    const auto want = greedy_bf(topo, margin);
+    EXPECT_EQ(shifted.color, want.color) << "shifted, margin " << margin;
+    EXPECT_EQ(shifted.colors_used, want.colors_used);
+  }
+}
+
+// Seeded churn against a fresh pass after every sync. Each round applies
+// one to three moves of one kind: a sub-metre wiggle (almost never changes
+// a pair), a placement a hair inside, on, or outside R or margin·R of
+// another node (a single boundary crossing), a one-cell hop (R along an
+// axis), or a teleport anywhere in a field that straddles the origin.
+// Every tenth round is instead a burst longer than the move ring, which
+// forces the full resync.
+void churn_matches_fresh(double margin, std::uint64_t seed) {
+  constexpr std::size_t kN = 40;
+  constexpr double kR = 40.0;
+  constexpr double kHalf = 110.0;
+  const double direct = std::max(margin, 1.0) * kR;
+  sim::Rng rng(seed);
+  phy::Topology topo(kN, kR);
+  for (core::NodeId i = 0; i < kN; ++i)
+    topo.set_position(i, {rng.uniform(-kHalf, kHalf),
+                          rng.uniform(-kHalf, kHalf)});
+  InterferenceColorer colorer(topo, margin);
+  EXPECT_EQ(colorer.sync(), 0u);  // nothing moved since construction
+
+  auto pick = [&] { return static_cast<core::NodeId>(rng.integer(kN)); };
+  std::size_t quiet = 0, local = 0;
+  for (int round = 0; round < 120; ++round) {
+    const auto links_before = pairs_within(topo, kR);
+    const auto direct_before = pairs_within(topo, direct);
+    const bool burst = round % 10 == 9;
+    if (burst) {
+      for (std::size_t i = 0; i <= topo.move_history_capacity(); ++i) {
+        const core::NodeId id = pick();
+        const auto p = topo.position(id);
+        topo.set_position(id, {p.x + rng.uniform(-0.5, 0.5), p.y});
+      }
+    }
+    const int kind = round % 4;
+    const int moves = burst ? 0 : 1 + static_cast<int>(rng.integer(3));
+    for (int m = 0; m < moves; ++m) {
+      const core::NodeId id = pick();
+      const auto p = topo.position(id);
+      if (kind == 0) {
+        topo.set_position(id, {p.x + rng.uniform(-0.5, 0.5),
+                               p.y + rng.uniform(-0.5, 0.5)});
+      } else if (kind == 1) {
+        core::NodeId other = pick();
+        if (other == id) other = (other + 1) % kN;
+        const auto q = topo.position(other);
+        const double radius = rng.integer(2) ? kR : direct;
+        const double nudge = 0.01 * (static_cast<double>(rng.integer(3)) - 1);
+        const double d = radius + nudge;  // inside, exactly on, or outside
+        if (rng.integer(2)) {  // axis-aligned: lands exactly on the boundary
+          topo.set_position(id, {q.x + d, q.y});
+        } else {
+          const double a = rng.uniform(0.0, 6.283185307179586);
+          topo.set_position(id, {q.x + d * std::cos(a), q.y + d * std::sin(a)});
+        }
+      } else if (kind == 2) {
+        const double step = rng.integer(2) ? kR : -kR;
+        topo.set_position(id, rng.integer(2) ? phy::Position{p.x + step, p.y}
+                                             : phy::Position{p.x, p.y + step});
+      } else {
+        topo.set_position(id, {rng.uniform(-kHalf, kHalf),
+                               rng.uniform(-kHalf, kHalf)});
+      }
+    }
+
+    const std::size_t evaluated = colorer.sync();
+    const Coloring fresh = color_interference(topo, margin);
+    ASSERT_EQ(colorer.colors(), fresh.color)
+        << "margin " << margin << ", round " << round;
+    ASSERT_EQ(colorer.colors_used(), fresh.colors_used);
+    expect_proper(topo, fresh, margin);
+    if (burst) {
+      EXPECT_EQ(evaluated, kN) << "overflow must resync every node";
+    } else if (pairs_within(topo, kR) == links_before &&
+               pairs_within(topo, direct) == direct_before) {
+      EXPECT_EQ(evaluated, 0u) << "round " << round << " changed no pair";
+      ++quiet;
+    } else if (evaluated < kN) {
+      ++local;
+    }
+  }
+  EXPECT_GT(quiet, 10u);  // the wiggles exercised the no-change path
+  EXPECT_GT(local, 10u);  // and changed pairs mostly stayed local
+}
+
+TEST(InterferenceColorer, MatchesFreshPassUnderChurnAtMargin1) {
+  churn_matches_fresh(1.0, 101);
+}
+
+TEST(InterferenceColorer, MatchesFreshPassUnderChurnAtMargin1_5) {
+  churn_matches_fresh(1.5, 202);
+}
+
+TEST(InterferenceColorer, MatchesFreshPassUnderChurnAtMargin3) {
+  churn_matches_fresh(3.0, 303);
+}
+
 TEST(InterferenceColoring, CliqueNeedsNColors) {
   // Everyone within everyone's range: no reuse is possible, the frame
   // degenerates to classic TDMA and the reuse factor is exactly 1.
@@ -152,6 +300,37 @@ TEST(ReuseSchedule, RecolorsOnlyWhenTopologyGenerationChanges) {
   topo.set_position(4, {p.x + 5.0, p.y});
   EXPECT_EQ(sched.stats().recolors, 2u);  // stats() itself ensures
   EXPECT_EQ(sched.stats().recolors, 2u);
+}
+
+TEST(ReuseSchedule, FrameFollowsColorCountAcrossMoves) {
+  // The 3-colored chain gains a fourth color when its last node moves
+  // next to nodes 0 and 1: its conflict partners 0, 1 and 2 (via witness
+  // 1) hold all three colors. Moving it back restores three.
+  auto topo = phy::Topology::linear(12, 30.0, 40.0);
+  ReuseSchedule sched(topo, 0.01, 7, 1.0);
+  EXPECT_EQ(sched.stats().colors_used, 3u);
+  EXPECT_DOUBLE_EQ(sched.frame_duration(), 0.03);
+  EXPECT_DOUBLE_EQ(sched.node_capacity_pps(), 1.0 / 0.03);
+
+  const auto home = topo.position(11);
+  topo.set_position(11, {15.0, 10.0});
+  EXPECT_EQ(sched.stats().colors_used, 4u);
+  EXPECT_EQ(sched.color_of(11), 3u);
+  EXPECT_DOUBLE_EQ(sched.frame_duration(), 0.04);
+  EXPECT_DOUBLE_EQ(sched.node_capacity_pps(), 1.0 / 0.04);
+  // Conflicting nodes own disjoint slots of the longer frame.
+  std::vector<std::uint64_t> owned;
+  for (core::NodeId id : {0u, 1u, 2u, 11u})
+    owned.push_back(sched.next_owned_slot_from(id, 40));
+  std::sort(owned.begin(), owned.end());
+  EXPECT_EQ(std::adjacent_find(owned.begin(), owned.end()), owned.end());
+  EXPECT_LT(owned.back(), 44u);  // all within one 4-slot frame
+
+  topo.set_position(11, home);
+  EXPECT_EQ(sched.stats().colors_used, 3u);
+  EXPECT_DOUBLE_EQ(sched.frame_duration(), 0.03);
+  EXPECT_DOUBLE_EQ(sched.node_capacity_pps(), 1.0 / 0.03);
+  EXPECT_EQ(sched.stats().recolors, 3u);
 }
 
 TEST(ReuseSchedule, SlotTimesAreFrameIndependent) {

@@ -138,6 +138,27 @@ TEST(TopologyGridIndex, NeighborsMatchBruteForceAfterChurn) {
   expect_index_matches_brute_force(t, "after churn");
 }
 
+TEST(TopologyGridIndex, WithinMatchesBruteForceAtAnyRadius) {
+  // Radii wider than the cell side reach past the 3x3 block; narrower
+  // ones filter inside it. Negative coordinates included.
+  sim::Rng rng(17);
+  const std::size_t n = 80;
+  Topology t(n, 40.0);
+  for (core::NodeId i = 0; i < n; ++i)
+    t.set_position(i, {rng.uniform(-150.0, 200.0), rng.uniform(-200.0, 150.0)});
+  std::vector<core::NodeId> got;
+  for (const double radius : {20.0, 40.0, 60.0, 119.5, 120.0}) {
+    for (core::NodeId i = 0; i < n; ++i) {
+      std::vector<core::NodeId> want;
+      for (core::NodeId j = 0; j < n; ++j)
+        if (j != i && distance(t.position(i), t.position(j)) <= radius)
+          want.push_back(j);
+      t.within_into(i, radius, got);
+      EXPECT_EQ(got, want) << "radius " << radius << ", node " << i;
+    }
+  }
+}
+
 TEST(TopologyMovedSince, ReportsDistinctMoversAscending) {
   Topology t(10, 40.0);
   const std::uint64_t gen = t.generation();
