@@ -425,12 +425,10 @@ class NullEnv final : public core::Env {
   }
   void cancel(core::TimerId) override {}
   core::PacketPool& packet_pool() override { return pool_; }
-  sim::SpillPool& spill_pool() override { return spill_; }
 
  private:
   core::TimerId next_id_ = 0;
   core::PacketPool pool_;
-  sim::SpillPool spill_;
 };
 
 class NullSink final : public core::PacketSink {

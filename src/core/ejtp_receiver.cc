@@ -127,8 +127,7 @@ void EjtpReceiver::send_feedback(bool triggered) {
   ack->payload_bytes = 0;
   ack->energy_budget = 0.0;  // ACKs are not energy-budgeted
 
-  // Build the feedback in place in the pooled slot (no copies, and the
-  // SNACK sets use the slot's inline storage).
+  // Build the feedback in place in the pooled slot (no copies).
   AckHeader& h = ack->ack.emplace();
   // SNACK only the missing seqs whose previous request (if any) has had a
   // chance to be answered; re-requesting every ACK would make the caches

@@ -31,21 +31,15 @@ class Env {
   // capturing more than `this` — before the event pool ever saw the
   // callable, invisibly to the pool stats. schedule() is now a template
   // forwarder: the callable is type-erased once, directly into the
-  // host's sim::SmallFn storage (48 inline bytes, SpillPool behind it),
-  // so every in-tree transport timer is allocation-free end to end.
-  // The virtual seam underneath is schedule_fn().
+  // host's 48-byte inline sim::SmallFn storage, so every in-tree
+  // transport timer is allocation-free end to end. The virtual seam
+  // underneath is schedule_fn().
   template <typename F>
   TimerId schedule(double delay_s, F&& fn) {
-    return schedule_fn(delay_s,
-                       sim::SmallFn(std::forward<F>(fn), spill_pool()));
+    return schedule_fn(delay_s, sim::SmallFn(std::forward<F>(fn)));
   }
   virtual void cancel(TimerId id) = 0;
   virtual PacketPool& packet_pool() = 0;
-
-  // The spill pool schedule() builds its SmallFn against; must be the
-  // same pool the host's event storage releases into (the Simulator's
-  // callback spill pool, for the simulator-backed Env).
-  virtual sim::SpillPool& spill_pool() = 0;
 
   // Virtual seam under schedule(): host-specific timer arming for an
   // already-type-erased callable.

@@ -58,7 +58,7 @@ std::size_t IjtpModule::post_rcv(Packet& p, const ForwardFn& forward) {
   // Algorithm 2, ACK branch: satisfy SNACKed packets from the local cache
   // and rewrite the ACK so upstream nodes see them as locally recovered.
   auto& snack = p.ack->snack;
-  SeqList still_missing;  // inline storage: the rewrite never allocates
+  SeqList still_missing;
   std::size_t served = 0;
   for (SeqNo seq : snack.missing) {
     if (served >= cfg_.max_cache_rtx_per_ack) {

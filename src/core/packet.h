@@ -9,18 +9,18 @@
 // so energy accounting is honest about header overhead.
 //
 // Hot-path layout: `PacketHeader` is the trivially-copyable part every
-// hop reads and stamps; the ACK-only feedback rides in an `AckBody`
-// whose SNACK sets use inline (SmallVec) storage sized for the
-// protocols' per-ACK entry caps. A `Packet` is the header plus an
-// optional-style ack slot, so building, forwarding and caching packets
-// performs no heap allocation; in the simulation pipeline packets live
-// in `PacketPool` slots and move by handle (see packet_pool.h).
+// hop reads and stamps; the ACK-only feedback rides in an optional
+// `AckBody`. A `Packet` is the header plus that optional body, so data
+// packets carry no ACK state, and caching stores headers only; in the
+// simulation pipeline packets live in `PacketPool` slots and move by
+// handle (see packet_pool.h).
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <vector>
 
-#include "core/small_vec.h"
 #include "core/types.h"
 
 namespace jtp::core {
@@ -32,11 +32,7 @@ inline constexpr std::uint32_t kDataHeaderBytes = 28;
 inline constexpr std::uint32_t kAckHeaderBytes = 200;
 inline constexpr std::uint32_t kDefaultPayloadBytes = 800;  // Table 1
 
-// Inline SNACK capacity. eJTP caps SNACKs at max_snack_entries (32,
-// Table 1's ACK budget) and TCP-SACK at 16; ATP's 64-hole cap can spill,
-// which SmallVec handles (and counts).
-inline constexpr std::size_t kSnackInlineEntries = 32;
-using SeqList = SmallVec<SeqNo, kSnackInlineEntries>;
+using SeqList = std::vector<SeqNo>;
 
 // Selective negative acknowledgment: sequence numbers the receiver still
 // needs, plus the set already recovered by an in-network cache on this
@@ -108,59 +104,6 @@ struct PacketHeader {
   bool is_ack() const { return type == PacketType::kAck; }
 };
 
-// Optional-style ack body with inline storage (no allocation, no
-// indirection). Engage by assigning an AckBody or via emplace().
-class AckSlot {
- public:
-  AckSlot() = default;
-  AckSlot(const AckSlot&) = default;
-  AckSlot& operator=(const AckSlot&) = default;
-  AckSlot(AckSlot&& o) noexcept
-      : body_(std::move(o.body_)), engaged_(o.engaged_) {
-    o.engaged_ = false;
-  }
-  AckSlot& operator=(AckSlot&& o) noexcept {
-    if (this != &o) {
-      body_ = std::move(o.body_);
-      engaged_ = o.engaged_;
-      o.engaged_ = false;
-    }
-    return *this;
-  }
-
-  AckSlot& operator=(AckBody&& b) {
-    body_ = std::move(b);
-    engaged_ = true;
-    return *this;
-  }
-  AckSlot& operator=(const AckBody& b) {
-    body_ = b;
-    engaged_ = true;
-    return *this;
-  }
-
-  AckBody& emplace() {
-    body_ = AckBody{};
-    engaged_ = true;
-    return body_;
-  }
-  void reset() {
-    body_ = AckBody{};
-    engaged_ = false;
-  }
-
-  explicit operator bool() const { return engaged_; }
-  bool has_value() const { return engaged_; }
-  AckBody& operator*() { return body_; }
-  const AckBody& operator*() const { return body_; }
-  AckBody* operator->() { return &body_; }
-  const AckBody* operator->() const { return &body_; }
-
- private:
-  AckBody body_{};
-  bool engaged_ = false;
-};
-
 // One transport-layer packet traversing the network. The same struct is
 // used end-to-end; intermediate nodes mutate only the soft-state fields
 // (available rate, loss tolerance, energy used), in the spirit of Dynamic
@@ -171,7 +114,7 @@ struct Packet : PacketHeader {
   explicit Packet(const PacketHeader& h) : PacketHeader(h) {}
 
   // --- ACK-only body ---
-  AckSlot ack;
+  std::optional<AckBody> ack;
 };
 
 }  // namespace jtp::core

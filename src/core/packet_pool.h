@@ -6,8 +6,8 @@
 // acquire a slot when they create a packet; the handle then rides the
 // whole path (node send -> MAC transmit ring -> delivery event -> next
 // node) untouched, and the slot returns to the freelist when the packet
-// is consumed or dropped. In the steady state no packet on the pipeline
-// touches the heap; PoolStats::high_water pins the claim.
+// is consumed or dropped. In the steady state the pool allocates no new
+// slots; PoolStats::high_water pins the claim.
 //
 // Threading/lifetime: a pool belongs to one simulation (one Network /
 // one Env), which belongs to one thread — pools are never shared across

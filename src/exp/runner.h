@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <type_traits>

@@ -335,10 +335,12 @@ std::string fmt_double(double v) {
   return std::string(buf, r.ptr);
 }
 
-// Cross-key MAC-family validation: tuning a discipline the spec does not
-// select would be a silent no-op, so it is an error instead. Triggers
-// only on non-default values — to_string() always emits every key, and
-// the round-trip contract must hold for every valid spec.
+// Cross-key validation. Tuning a MAC discipline the spec does not select
+// would be a silent no-op, so it is an error instead; those checks
+// trigger only on non-default values — to_string() always emits every
+// key, and the round-trip contract must hold for every valid spec. A
+// workload the network cannot host is rejected here too, so a bad spec
+// fails at parse time instead of inside a run.
 std::string validate_spec(const ScenarioSpec& s) {
   // "Non-default" is measured against the default-constructed spec, so
   // this check can never drift from the knobs' real defaults.
@@ -351,6 +353,13 @@ std::string validate_spec(const ScenarioSpec& s) {
     return "scenario: min_be/max_be/max_backoffs require mac=csma";
   if (s.csma_min_be > s.csma_max_be)
     return "scenario: min_be must be <= max_be";
+  if (s.workload.kind == WorkloadKind::kOnOff &&
+      s.workload.transfer_packets == 0)
+    return "scenario: on_off workload needs transfer > 0 "
+           "(the burst size in packets)";
+  if (s.workload.kind == WorkloadKind::kFanIn &&
+      s.workload.fan_in > s.net_size - 1)
+    return "scenario: fan_in must be at most net_size - 1";
   return "";
 }
 
@@ -571,11 +580,7 @@ void apply_workload(const ScenarioSpec& spec, FlowManager& fm) {
       // Bursty sources: each of the n_flows sources holds one random
       // (src, dst) pair and fires a bounded `transfer`-packet burst at
       // exponential gaps — the off period is whatever remains of the gap
-      // after the burst drains.
-      if (w.transfer_packets == 0)
-        throw std::invalid_argument(
-            "scenario: on_off workload needs transfer > 0 "
-            "(the burst size in packets)");
+      // after the burst drains. validate_spec guarantees transfer > 0.
       sim::Rng rng(spec.seed);
       auto br = rng.derive("bursts");
       for (std::size_t i = 0; i < w.n_flows; ++i) {
@@ -593,10 +598,8 @@ void apply_workload(const ScenarioSpec& spec, FlowManager& fm) {
     case WorkloadKind::kFanIn: {
       // Many-flow convergence: fan_in distinct random senders all target
       // node 0. The sink-side stack (MAC queue, SNACK service, cache) is
-      // the bottleneck under test.
-      if (w.fan_in > n - 1)
-        throw std::invalid_argument(
-            "scenario: fan_in must be at most net_size - 1");
+      // the bottleneck under test. validate_spec guarantees
+      // fan_in <= n - 1.
       sim::Rng rng(spec.seed);
       auto fr = rng.derive("fan-in");
       std::vector<bool> used(n, false);

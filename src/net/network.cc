@@ -5,20 +5,8 @@
 
 namespace jtp::net {
 
-namespace {
-
-// Sizes the channel's per-link state tables from the node count when the
-// scenario didn't: a connected random field carries ~4 links/node, and
-// the reserve is what keeps the hot-path lookup rehash-free.
-NetworkConfig with_link_reserve(NetworkConfig cfg, std::size_t n) {
-  if (cfg.channel.expected_links == 0) cfg.channel.expected_links = 4 * n;
-  return cfg;
-}
-
-}  // namespace
-
 Network::Network(phy::Topology topology, NetworkConfig cfg)
-    : cfg_(with_link_reserve(std::move(cfg), topology.size())),
+    : cfg_(std::move(cfg)),
       rng_(cfg_.seed),
       topo_(std::move(topology)),
       channel_(cfg_.channel, sim::Rng(cfg_.seed).derive("channel")),

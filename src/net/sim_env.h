@@ -19,11 +19,10 @@ class SimEnv final : public core::Env {
 
   double now() const override { return sim_.now(); }
   core::TimerId schedule_fn(double delay_s, sim::SmallFn fn) override {
-    return sim_.schedule_fn(delay_s, std::move(fn));
+    return sim_.schedule(delay_s, std::move(fn));
   }
   void cancel(core::TimerId id) override { sim_.cancel(id); }
   core::PacketPool& packet_pool() override { return pool_; }
-  sim::SpillPool& spill_pool() override { return sim_.spill_pool(); }
 
  private:
   sim::Simulator& sim_;

@@ -14,6 +14,55 @@ namespace jtp::net {
 
 namespace {
 
+// The eJTP endpoint configs every JTP variant starts from.
+struct JtpConfigs {
+  core::SenderConfig sender;
+  core::ReceiverConfig receiver;
+  double rate_floor_pps = 0.0;
+  double rate_cap_pps = 0.0;
+};
+
+JtpConfigs jtp_configs(const Network& net, core::FlowId flow,
+                       core::NodeId src, core::NodeId dst,
+                       const FlowOptions& opt, const PathInfo& path) {
+  // A flow can never exceed the TDMA per-node share (every hop must
+  // relay it from its own slots); a rate floor well above zero keeps
+  // the control loop observable (samples arrive with data packets).
+  const double capacity = path.node_capacity_pps;
+  JtpConfigs c;
+  c.rate_cap_pps = std::min(opt.app_delivery_cap_pps, capacity);
+  c.rate_floor_pps = std::max(0.1, 0.07 * capacity);
+
+  core::SenderConfig& s = c.sender;
+  s.flow = flow;
+  s.src = src;
+  s.dst = dst;
+  s.loss_tolerance = opt.loss_tolerance;
+  s.initial_rate_pps = opt.initial_rate_pps;
+  s.initial_energy_budget = opt.initial_energy_budget;
+  s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
+  s.min_rate_pps = c.rate_floor_pps;
+
+  core::ReceiverConfig& r = c.receiver;
+  r.flow = flow;
+  r.src = src;
+  r.dst = dst;
+  r.loss_tolerance = opt.loss_tolerance;
+  r.feedback_mode = opt.feedback_mode;
+  r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
+  r.t_lower_bound_s = opt.t_lower_bound_s;
+  r.rtt_estimate_s = path.rtt_estimate_s;
+  r.energy_beta = opt.energy_beta;
+  r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
+  r.monitor = opt.monitor;
+  r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
+  r.rate.initial_rate_pps = opt.initial_rate_pps;
+  r.rate.delta_pps = 0.15 * capacity;  // headroom target δ
+  r.rate.min_rate_pps = c.rate_floor_pps;
+  r.rate.max_rate_pps = c.rate_cap_pps;
+  return c;
+}
+
 // JTP (and JNC, which shares the endpoints and differs only in the
 // network-level caching switch).
 class JtpFactory final : public TransportFactory {
@@ -21,46 +70,12 @@ class JtpFactory final : public TransportFactory {
   TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
                           core::NodeId dst, const FlowOptions& opt,
                           const PathInfo& path) const override {
-    // A flow can never exceed the TDMA per-node share (every hop must
-    // relay it from its own slots); a rate floor well above zero keeps
-    // the control loop observable (samples arrive with data packets).
-    const double capacity = path.node_capacity_pps;
-    const double rate_cap = std::min(opt.app_delivery_cap_pps, capacity);
-    const double rate_floor = std::max(0.1, 0.07 * capacity);
-
-    core::SenderConfig s;
-    s.flow = flow;
-    s.src = src;
-    s.dst = dst;
-    s.loss_tolerance = opt.loss_tolerance;
-    s.initial_rate_pps = opt.initial_rate_pps;
-    s.initial_energy_budget = opt.initial_energy_budget;
-    s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
-    s.min_rate_pps = rate_floor;
-
-    core::ReceiverConfig r;
-    r.flow = flow;
-    r.src = src;
-    r.dst = dst;
-    r.loss_tolerance = opt.loss_tolerance;
-    r.feedback_mode = opt.feedback_mode;
-    r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
-    r.t_lower_bound_s = opt.t_lower_bound_s;
-    r.rtt_estimate_s = path.rtt_estimate_s;
-    r.energy_beta = opt.energy_beta;
-    r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
-    r.monitor = opt.monitor;
-    r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
-    r.rate.initial_rate_pps = opt.initial_rate_pps;
-    r.rate.delta_pps = 0.15 * capacity;  // headroom target δ
-    r.rate.min_rate_pps = rate_floor;
-    r.rate.max_rate_pps = rate_cap;
-
+    const JtpConfigs c = jtp_configs(net, flow, src, dst, opt, path);
     TransportEndpoints eps;
-    eps.sender =
-        std::make_unique<core::EjtpSender>(net.env(), net.node(src), s);
-    eps.receiver =
-        std::make_unique<core::EjtpReceiver>(net.env(), net.node(dst), r);
+    eps.sender = std::make_unique<core::EjtpSender>(net.env(), net.node(src),
+                                                    c.sender);
+    eps.receiver = std::make_unique<core::EjtpReceiver>(
+        net.env(), net.node(dst), c.receiver);
     return eps;
   }
 };
@@ -142,52 +157,21 @@ class JtpDrFactory final : public TransportFactory {
   TransportEndpoints make(Network& net, core::FlowId flow, core::NodeId src,
                           core::NodeId dst, const FlowOptions& opt,
                           const PathInfo& path) const override {
-    const double capacity = path.node_capacity_pps;
-    const double rate_cap = std::min(opt.app_delivery_cap_pps, capacity);
-    const double rate_floor = std::max(0.1, 0.07 * capacity);
-
-    core::SenderConfig s;
-    s.flow = flow;
-    s.src = src;
-    s.dst = dst;
-    s.loss_tolerance = opt.loss_tolerance;
-    s.initial_rate_pps = opt.initial_rate_pps;
-    s.initial_energy_budget = opt.initial_energy_budget;
-    s.backoff_for_local_recovery = opt.backoff_for_local_recovery;
-    s.min_rate_pps = rate_floor;
-
-    core::ReceiverConfig r;
-    r.flow = flow;
-    r.src = src;
-    r.dst = dst;
-    r.loss_tolerance = opt.loss_tolerance;
-    r.feedback_mode = opt.feedback_mode;
-    r.constant_feedback_rate_pps = opt.constant_feedback_rate_pps;
-    r.t_lower_bound_s = opt.t_lower_bound_s;
-    r.rtt_estimate_s = path.rtt_estimate_s;
-    r.energy_beta = opt.energy_beta;
-    r.app_delivery_cap_pps = opt.app_delivery_cap_pps;
-    r.monitor = opt.monitor;
-    r.cache_size_packets = net.config().node.ijtp.cache_capacity_packets;
-    r.rate.initial_rate_pps = opt.initial_rate_pps;
-    r.rate.delta_pps = 0.15 * capacity;
-    r.rate.min_rate_pps = rate_floor;
-    r.rate.max_rate_pps = rate_cap;
-
+    const JtpConfigs c = jtp_configs(net, flow, src, dst, opt, path);
     core::JtpDrConfig dr;
     dr.rate.initial_rate_pps = opt.initial_rate_pps;
     // δ for a *delivery-rate* Ā is a collapse guard, not a headroom
     // target (see JtpDrConfig): per-flow delivery under fair sharing sits
     // far below capacity without meaning congestion.
-    dr.rate.delta_pps = 0.02 * capacity;
-    dr.rate.min_rate_pps = rate_floor;
-    dr.rate.max_rate_pps = rate_cap;
+    dr.rate.delta_pps = 0.02 * path.node_capacity_pps;
+    dr.rate.min_rate_pps = c.rate_floor_pps;
+    dr.rate.max_rate_pps = c.rate_cap_pps;
 
     TransportEndpoints eps;
-    eps.sender = std::make_unique<core::JtpDrSender>(net.env(),
-                                                     net.node(src), s, dr);
-    eps.receiver = std::make_unique<core::EjtpReceiver>(net.env(),
-                                                        net.node(dst), r);
+    eps.sender = std::make_unique<core::JtpDrSender>(net.env(), net.node(src),
+                                                     c.sender, dr);
+    eps.receiver = std::make_unique<core::EjtpReceiver>(
+        net.env(), net.node(dst), c.receiver);
     return eps;
   }
 };

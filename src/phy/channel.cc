@@ -7,10 +7,7 @@
 namespace jtp::phy {
 
 Channel::Channel(ChannelConfig cfg, sim::Rng rng)
-    : cfg_(cfg),
-      master_(std::move(rng)),
-      links_(cfg.expected_links),
-      loss_(cfg.expected_links) {
+    : cfg_(cfg), master_(std::move(rng)) {
   if (cfg.bad_fraction < 0.0 || cfg.bad_fraction >= 1.0)
     throw std::invalid_argument("Channel: bad_fraction outside [0,1)");
   if (cfg.mean_bad_dwell_s <= 0.0)
@@ -27,13 +24,13 @@ Channel::LinkState& Channel::state_for(core::NodeId a, core::NodeId b) {
   const auto mm = std::minmax(a, b);
   const std::uint64_t key =
       (static_cast<std::uint64_t>(mm.first) << 32) | mm.second;
-  return links_.find_or_create(key, [&] {
-    LinkState s;
+  auto [it, fresh] = links_.try_emplace(key);
+  if (fresh) {
+    LinkState& s = it->second;
     s.rng = master_.derive("link", key);
-    s.bad = false;
     s.next_flip = s.rng.exponential(mean_good_dwell_s());
-    return s;
-  });
+  }
+  return it->second;
 }
 
 void Channel::advance(LinkState& s, sim::Time now) {
@@ -62,8 +59,10 @@ bool Channel::in_bad_state(core::NodeId a, core::NodeId b, sim::Time now) {
 
 sim::Rng& Channel::loss_rng_for(core::NodeId a, core::NodeId b) {
   const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-  return loss_.find_or_create(key,
-                              [&] { return master_.derive("loss", key); });
+  auto it = loss_.find(key);
+  if (it == loss_.end())
+    it = loss_.emplace(key, master_.derive("loss", key)).first;
+  return it->second;
 }
 
 bool Channel::transmission_lost(core::NodeId a, core::NodeId b,

@@ -7,10 +7,11 @@
 // query time, so idle links cost nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 
 #include "core/types.h"
-#include "phy/link_table.h"
 #include "sim/random.h"
 #include "sim/time.h"
 
@@ -22,21 +23,12 @@ struct ChannelConfig {
   double bad_fraction = 0.10;   // long-run share of time in bad state
   double mean_bad_dwell_s = 3.0;
   bool fading_enabled = true;   // false => always good (testbed regime)
-  // Expected live links, used to reserve the per-link state tables at
-  // construction so steady state never reallocates or rehashes. 0 means
-  // "small" (unit tests, testbed); the network sizes it from the node
-  // count (~4 links/node in a connected random field).
-  std::size_t expected_links = 0;
 };
 
-// Table health of the two per-link state tables (see LinkTableStats):
-// rehashes > 0 or a probe high-water far above ~1 means expected_links
-// under-sized the reserve.
+// Sizes of the two lazily-created per-link state tables.
 struct ChannelStats {
-  LinkTableStats dwell;        // undirected fading-state table
-  LinkTableStats loss;         // directed loss-stream table
-  std::size_t dwell_links = 0;
-  std::size_t loss_streams = 0;
+  std::size_t dwell_links = 0;   // undirected links with fading state
+  std::size_t loss_streams = 0;  // directed links with a loss stream
 };
 
 class Channel {
@@ -55,9 +47,7 @@ class Channel {
   const ChannelConfig& config() const { return cfg_; }
   double mean_good_dwell_s() const;
 
-  ChannelStats stats() const {
-    return {links_.stats(), loss_.stats(), links_.size(), loss_.size()};
-  }
+  ChannelStats stats() const { return {links_.size(), loss_.size()}; }
 
  private:
   // Dwell (fading) state of an undirected link. Its rng feeds *only*
@@ -79,14 +69,12 @@ class Channel {
   ChannelConfig cfg_;
   sim::Rng master_;
   // Links are undirected for fading purposes: the key packs the sorted
-  // (low, high) pair into one word. transmission_lost() runs once per
-  // MAC attempt, so the lookup runs against packed open-addressed
-  // tables (see link_table.h) reserved for cfg.expected_links; per-link
-  // state is created lazily on first query (idle links cost nothing)
-  // and derived from the master rng by key, so neither creation order
-  // nor table layout can perturb determinism.
-  PackedLinkTable<LinkState> links_;
-  PackedLinkTable<sim::Rng> loss_;  // directed key
+  // (low, high) pair into one word. Per-link state is created lazily on
+  // first query (idle links cost nothing) and derived from the master
+  // rng by key, so neither creation order nor table layout can perturb
+  // determinism.
+  std::unordered_map<std::uint64_t, LinkState> links_;
+  std::unordered_map<std::uint64_t, sim::Rng> loss_;  // directed key
 };
 
 }  // namespace jtp::phy

@@ -17,9 +17,9 @@
 // tombstones to drift past on pop, and no lazy sweep. EventIds carry a
 // per-slot generation so a stale id (event already fired or cancelled)
 // is recognized and ignored even after the slot has been reused.
-// Callbacks are SmallFn (see small_fn.h): inline storage for every
-// in-tree closure, pool-backed spill for larger ones — the steady-state
-// schedule/cancel/pop cycle performs no heap allocation.
+// Callbacks are SmallFn (see small_fn.h), stored inline in the slot —
+// the steady-state schedule/cancel/pop cycle performs no heap
+// allocation.
 #pragma once
 
 #include <cassert>
@@ -54,27 +54,13 @@ class EventQueue {
   // Enqueues `fn` at (at, tie) with an explicit tie key. Keys must be
   // unique per (at, tie) pair for the order to be deterministic; the
   // Simulator guarantees this by deriving ties from per-owner counters.
+  // `fn` may itself be a SmallFn, which is moved in as is.
   template <typename F>
   EventId push_keyed(Time at, std::uint64_t tie, std::uint32_t exec_owner,
                      F&& fn) {
     const std::uint32_t idx = acquire_slot();
     Slot& s = slots_[idx];
-    s.fn = SmallFn(std::forward<F>(fn), spill_);
-    s.exec_owner = exec_owner;
-    ++next_fifo_;
-    heap_insert(HeapNode{at, tie, idx});
-    return make_id(idx, s.gen);
-  }
-
-  // Same, for an already-built SmallFn (which must have been constructed
-  // against this queue's spill()). A dedicated overload, not the
-  // template: sizeof(SmallFn) > SmallFn::kInlineBytes, so the template
-  // would wrap it in a second, spilled SmallFn.
-  EventId push_keyed_fn(Time at, std::uint64_t tie, std::uint32_t exec_owner,
-                        SmallFn&& fn) {
-    const std::uint32_t idx = acquire_slot();
-    Slot& s = slots_[idx];
-    s.fn = std::move(fn);
+    s.fn = SmallFn(std::forward<F>(fn));
     s.exec_owner = exec_owner;
     ++next_fifo_;
     heap_insert(HeapNode{at, tie, idx});
@@ -103,20 +89,15 @@ class EventQueue {
   };
   Event pop();
 
-  // Drops every pending event; slot and spill capacity is retained for
-  // reuse (Simulator::reset).
+  // Drops every pending event; slot capacity is retained for reuse
+  // (Simulator::reset).
   void clear();
 
   std::uint64_t total_scheduled() const { return next_fifo_; }
 
-  // Freelist accounting for the event-slot pool and the callback spill
-  // pool; the zero-allocation tests pin steady state with these.
+  // Freelist accounting for the event-slot pool; the zero-growth tests
+  // pin steady state with it.
   PoolStats slot_stats() const;
-  const PoolStats& spill_stats() const { return spill_.stats(); }
-
-  // The spill pool callers must build SmallFns against before handing
-  // them to push_keyed_fn (see small_fn.h's lifetime contract).
-  SpillPool& spill() { return spill_; }
 
  private:
   static constexpr std::uint32_t kNpos = 0xffffffffu;
@@ -165,7 +146,6 @@ class EventQueue {
   std::vector<HeapNode> heap_;  // 4-ary min-heap keyed by (at, key)
   std::uint32_t free_head_ = kNpos;
   std::uint64_t next_fifo_ = 0;
-  SpillPool spill_;
 
   std::size_t slots_high_water_ = 0;
   std::uint64_t slot_reuses_ = 0;

@@ -3,10 +3,10 @@
 // Components schedule callbacks with schedule()/at() and read the clock via
 // now(). run_until() advances virtual time; there is no wall-clock coupling.
 //
-// schedule()/at() accept any void() callable and store it without heap
-// allocation in the steady state (see event_queue.h / small_fn.h); the
-// pool occupancy behind that claim is readable via event_pool_stats() /
-// callback_spill_stats().
+// schedule()/at() accept any void() callable (or a prebuilt SmallFn)
+// and store it without heap allocation in the steady state (see
+// event_queue.h / small_fn.h); the pool occupancy behind that claim is
+// readable via event_pool_stats().
 //
 // Deterministic event keys. Every event is ordered by (time, tie) where
 // tie = (owner << kOwnerShift) | per-owner sequence number. The *owner*
@@ -73,16 +73,6 @@ class Simulator {
     return queue_.push_keyed(at, tie, exec_owner, std::forward<F>(fn));
   }
 
-  // schedule() for a pre-built SmallFn (see Env::schedule): the callable
-  // was already type-erased against spill_pool(), so it goes straight
-  // into the event slot without re-wrapping.
-  EventId schedule_fn(Time delay, SmallFn&& fn) {
-    if (delay < 0)
-      throw std::invalid_argument("Simulator::schedule_fn: negative delay");
-    return queue_.push_keyed_fn(now_ + delay, draw_tie(ctx_), ctx_,
-                                std::move(fn));
-  }
-
   // Draws the next tie key from `owner`'s stream. Deterministic: the
   // n-th draw for an owner is always (owner << kOwnerShift) | n.
   std::uint64_t draw_tie(std::uint32_t owner) {
@@ -106,18 +96,14 @@ class Simulator {
   std::uint64_t run() { return run_until(std::numeric_limits<Time>::max()); }
 
   // Drops all pending events and rewinds the clock to zero. Pooled event
-  // slots and spill blocks are retained, so a reset-and-rerun reuses the
-  // previous run's capacity instead of reallocating it.
+  // slots are retained, so a reset-and-rerun reuses the previous run's
+  // capacity instead of reallocating it.
   void reset();
 
   std::uint64_t events_executed() const { return executed_; }
   bool pending() const { return !queue_.empty(); }
 
   PoolStats event_pool_stats() const { return queue_.slot_stats(); }
-  const PoolStats& callback_spill_stats() const {
-    return queue_.spill_stats();
-  }
-  SpillPool& spill_pool() { return queue_.spill(); }
 
  private:
   EventQueue queue_;

@@ -1,5 +1,5 @@
-// Statistics utilities: streaming summaries, confidence intervals, EWMA,
-// time-weighted averages, counters, and time series for traces.
+// Statistics utilities: pool occupancy counters, streaming summaries,
+// confidence intervals, and time series for traces.
 #pragma once
 
 #include <cstddef>
@@ -13,20 +13,17 @@
 namespace jtp::sim {
 
 // Occupancy accounting shared by the hot-path freelist pools (event
-// slots, SmallFn spill blocks, packet slots). `high_water` is the proof
-// obligation for the zero-allocation claim: once a workload's working
-// set is pooled, `heap_allocs` and `high_water` stop moving while
-// `reuses` keeps counting — a growing `heap_allocs` under steady load
-// means some path still allocates.
+// slots, packet slots). `high_water` is the proof obligation for the
+// zero-growth claim: once a workload's working set is pooled,
+// `heap_allocs` and `high_water` stop moving while `reuses` keeps
+// counting — a growing `heap_allocs` under steady load means the pool
+// is leaking slots or the working set never settled.
 struct PoolStats {
   std::size_t capacity = 0;    // objects ever created by the pool
   std::size_t in_use = 0;      // currently handed out
   std::size_t high_water = 0;  // max simultaneous in_use
   std::uint64_t reuses = 0;       // acquisitions served from the freelist
   std::uint64_t heap_allocs = 0;  // acquisitions that had to allocate
-  // Requests too large for the pool's block size, served by plain
-  // operator new (must stay zero in steady state).
-  std::uint64_t oversize_allocs = 0;
 
   std::size_t free_count() const { return capacity - in_use; }
 };
@@ -53,39 +50,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Exponentially weighted moving average.
-class Ewma {
- public:
-  explicit Ewma(double alpha);
-  void add(double x);
-  void reset() { initialized_ = false; }
-  void set_alpha(double alpha);
-  double alpha() const { return alpha_; }
-  bool initialized() const { return initialized_; }
-  double value() const { return value_; }
-  // Seeds the average without blending (used by the flip-flop filter).
-  void force(double x) { value_ = x; initialized_ = true; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool initialized_ = false;
-};
-
-// Time-weighted mean of a piecewise-constant signal (e.g. queue length).
-class TimeWeighted {
- public:
-  void update(Time now, double new_value);
-  double mean(Time now) const;
-
- private:
-  double value_ = 0.0;
-  double area_ = 0.0;
-  Time start_ = kTimeZero;
-  Time last_ = kTimeZero;
-  bool started_ = false;
 };
 
 // (time, value) series for plots/traces; supports windowed rate queries.

@@ -9,8 +9,6 @@
 // half-width instead of guessing a band.
 #pragma once
 
-#include <fstream>
-#include <initializer_list>
 #include <iosfwd>
 #include <string>
 #include <type_traits>
@@ -85,30 +83,10 @@ class Series {
   // (exp::Report) emit byte-identical CSV without buffering twice.
   void write_csv_header(std::ostream& os) const;
   void write_csv_row(std::ostream& os, const std::vector<Cell>& row) const;
-  // Convenience: open `path`, write, return false on I/O failure.
-  bool write_csv_file(const std::string& path) const;
 
  private:
   std::vector<Column> cols_;
   std::vector<std::vector<Cell>> rows_;
-};
-
-// Streaming CSV writer for incremental traces (e.g. per-sample monitor
-// dumps) that would be wasteful to buffer in a Series. Escapes text rows.
-class CsvWriter {
- public:
-  // Opens `path` for writing and emits the header row.
-  CsvWriter(const std::string& path, std::vector<std::string> cols);
-  CsvWriter(const std::string& path, std::initializer_list<std::string> cols);
-
-  void row(std::initializer_list<double> values);
-  void row(const std::vector<std::string>& values);
-
-  bool ok() const { return static_cast<bool>(out_); }
-
- private:
-  std::ofstream out_;
-  std::size_t n_cols_;
 };
 
 }  // namespace jtp::sim

@@ -85,9 +85,7 @@ TEST(Channel, TimeMovesForwardLazily) {
 }
 
 TEST(Channel, StatsCountLinksAndLookups) {
-  auto c = cfg();
-  c.expected_links = 256;
-  Channel ch(c, sim::Rng(5));
+  Channel ch(cfg(), sim::Rng(5));
   // 8 undirected links, both directions exercised.
   for (core::NodeId a = 0; a < 8; ++a) {
     (void)ch.transmission_lost(a, a + 1, 1.0);
@@ -96,14 +94,6 @@ TEST(Channel, StatsCountLinksAndLookups) {
   const ChannelStats st = ch.stats();
   EXPECT_EQ(st.dwell_links, 8u);    // (a,b) and (b,a) share dwell state
   EXPECT_EQ(st.loss_streams, 16u);  // but draw from directed streams
-  EXPECT_EQ(st.dwell.inserts, 8u);
-  EXPECT_EQ(st.loss.inserts, 16u);
-  EXPECT_EQ(st.dwell.lookups, 16u);
-  EXPECT_EQ(st.loss.lookups, 16u);
-  // The reserve held: no rehash, short probe runs.
-  EXPECT_EQ(st.dwell.rehashes, 0u);
-  EXPECT_EQ(st.loss.rehashes, 0u);
-  EXPECT_LT(st.dwell.probe_hw, 16u);
 }
 
 TEST(Channel, DeterministicUnderPermutedCreationOrder) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -187,43 +188,17 @@ TEST(EventQueue, SlotPoolRecyclesAndTracksHighWater) {
   EXPECT_EQ(q.total_scheduled(), 400u);
 }
 
-// --- SmallFn storage: SBO boundary and spill-pool reuse ---
+// --- SmallFn storage: a capture up to the inline limit fits ---
 
 TEST(EventQueue, SmallCapturesStayInline) {
   EventQueue q;
   char small[SmallFn::kInlineBytes - 8] = {1};
   int sink = 0;
   q.push(1.0, [small, &sink] { sink += small[0]; });
-  EXPECT_EQ(q.spill_stats().capacity, 0u);  // no spill block created
-  q.pop().fn();
-  EXPECT_EQ(sink, 1);
-}
-
-TEST(EventQueue, OversizeCapturesSpillToPoolAndRecycle) {
-  EventQueue q;
-  char big[SmallFn::kInlineBytes + 16] = {1};
-  int sink = 0;
-  for (int round = 0; round < 5; ++round) {
-    q.push(1.0, [big, &sink] { sink += big[0]; });
-    q.pop().fn();
-  }
-  const PoolStats& sp = q.spill_stats();
-  EXPECT_EQ(sp.capacity, 1u);     // one block, recycled every round
-  EXPECT_EQ(sp.heap_allocs, 1u);  // allocated exactly once
-  EXPECT_EQ(sp.reuses, 4u);
-  EXPECT_EQ(sp.in_use, 0u);
-  EXPECT_EQ(sp.oversize_allocs, 0u);
-  EXPECT_EQ(sink, 5);
-}
-
-TEST(EventQueue, BeyondBlockSizeIsCountedAsOversize) {
-  EventQueue q;
-  char huge[SpillPool::kBlockBytes + 64] = {1};
-  int sink = 0;
-  q.push(1.0, [huge, &sink] { sink += huge[0]; });
-  EXPECT_EQ(q.spill_stats().oversize_allocs, 1u);
-  q.pop().fn();
-  EXPECT_EQ(q.spill_stats().in_use, 0u);
+  SmallFn fn = q.pop().fn;
+  SmallFn moved = std::move(fn);  // relocates the inline capture
+  EXPECT_FALSE(fn);
+  moved();
   EXPECT_EQ(sink, 1);
 }
 

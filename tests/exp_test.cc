@@ -1,6 +1,7 @@
 // Tests for the experiment harness: scenarios, workloads, runner, metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -312,6 +313,12 @@ TEST(ScenarioSpecParse, RejectsMalformedInput) {
   // strtoull saturation must not slip through as ULLONG_MAX.
   EXPECT_FALSE(parse_scenario("net_size=99999999999999999999999").ok());
   EXPECT_FALSE(parse_scenario("seed=18446744073709551616").ok());  // 2^64
+  // Workloads the network cannot host fail at parse time, not in a run.
+  EXPECT_FALSE(parse_scenario("workload=fan_in,fan_in=100").ok());  // > n-1
+  EXPECT_FALSE(parse_scenario("workload=fan_in,net_size=4,fan_in=4").ok());
+  EXPECT_TRUE(parse_scenario("workload=fan_in,net_size=4,fan_in=3").ok());
+  EXPECT_FALSE(parse_scenario("workload=on_off").ok());  // transfer=0
+  EXPECT_TRUE(parse_scenario("workload=on_off,transfer=10").ok());
 }
 
 TEST(ScenarioSpecParse, ApplyTokensOverlaysOntoBase) {
@@ -325,7 +332,8 @@ TEST(ScenarioSpecParse, ApplyTokensOverlaysOntoBase) {
 
 // --- spec-language properties (seeded, no fuzzer) ---------------------------
 
-// A random spec that satisfies the cross-key MAC-family validation.
+// A random spec that satisfies the cross-key validation (MAC family and
+// hostable workload).
 ScenarioSpec random_valid_spec(sim::Rng& rng) {
   auto pick = [&](std::uint64_t n) { return rng.integer(n); };
   // Doubles drawn from both the interior and the exact edges of a range.
@@ -373,6 +381,12 @@ ScenarioSpec random_valid_spec(sim::Rng& rng) {
   s.workload.mean_burst_gap_s = in(1e-3, 1e9);
   s.workload.fan_in = size(1);
   s.workload.loss_tolerance = in(0.0, 1.0);
+  // Clamp, not redraw, so every other spec keeps its draws.
+  if (s.workload.kind == WorkloadKind::kFanIn)
+    s.workload.fan_in = std::min(s.workload.fan_in, s.net_size - 1);
+  if (s.workload.kind == WorkloadKind::kOnOff &&
+      s.workload.transfer_packets == 0)
+    s.workload.transfer_packets = 1;
   return s;
 }
 

@@ -2,6 +2,9 @@
 // built through the declarative ScenarioSpec API.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "baselines/atp.h"
 #include "exp/scenario.h"
 #include "exp/workload.h"
 #include "net/network.h"
@@ -109,6 +112,47 @@ TEST(Integration, AtpDeliversOverChain) {
   s.network->run_until(600.0);
   EXPECT_TRUE(flow.finished());
   EXPECT_EQ(flow.delivered_packets(), 50u);
+}
+
+// ATP reports up to 64 SNACK holes per ACK, twice eJTP's 32-entry cap.
+// An ACK carrying 49 holes must cross a 4-hop chain with its hole list
+// intact.
+TEST(Integration, AtpAckWithMoreThan32HolesCrossesChain) {
+  auto s = exp::build(quiet(21, Proto::kAtp, 5));
+  net::Network& net = *s.network;
+  const core::FlowId flow = net.allocate_flow(net::HopPolicy::kRateStamp);
+  std::uint64_t acks_seen = 0;
+  std::vector<core::SeqNo> holes_seen;
+  net.node(0).attach_ack_handler(flow, [&](const core::Packet& ack) {
+    ++acks_seen;
+    ASSERT_TRUE(ack.ack);
+    EXPECT_EQ(ack.ack->cumulative_ack, 1u);
+    holes_seen = ack.ack->snack.missing;
+  });
+
+  baselines::AtpConfig cfg;
+  cfg.flow = flow;
+  cfg.src = 0;
+  cfg.dst = 4;
+  baselines::AtpReceiver rcv(net.env(), net.node(4), cfg);
+  core::Packet data;
+  data.type = core::PacketType::kData;
+  data.flow = flow;
+  data.src = 0;
+  data.dst = 4;
+  for (core::SeqNo seq : {0u, 50u}) {  // seqs 1..49 never arrive
+    data.seq = seq;
+    rcv.on_data(data);
+  }
+  rcv.start();
+  net.run_until(2.5 * cfg.feedback_period_s);
+  rcv.stop();
+
+  std::vector<core::SeqNo> want;
+  for (core::SeqNo seq = 1; seq < 50; ++seq) want.push_back(seq);
+  EXPECT_GE(acks_seen, 1u);
+  EXPECT_EQ(rcv.acks_sent(), acks_seen);  // every ACK made all 4 hops
+  EXPECT_EQ(holes_seen, want);
 }
 
 TEST(Integration, JtpBeatsTcpOnEnergyPerBitOverLossyChain) {

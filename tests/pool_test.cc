@@ -1,7 +1,7 @@
 // Tests for the hot-path memory pools: PacketPool freelist/high-water
-// accounting, SmallVec SBO-vs-spill behavior, pool reuse across
-// Simulator::reset, and the steady-state zero-allocation contract of the
-// whole delivery pipeline (pinned by pool high-water marks).
+// accounting, pool reuse across Simulator::reset, and the steady-state
+// zero-growth contract of the event and packet pools under a real
+// delivery pipeline (pinned by pool high-water marks).
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -9,7 +9,6 @@
 
 #include "core/packet.h"
 #include "core/packet_pool.h"
-#include "core/small_vec.h"
 #include "exp/scenario.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -90,56 +89,6 @@ TEST(PacketPool, MakeFromHeaderDropsAnyAckState) {
   EXPECT_FALSE(b->ack);
 }
 
-// --------------------------- SmallVec ---------------------------
-
-TEST(SmallVec, StaysInlineUpToCapacity) {
-  core::SmallVec<SeqNo, 4> v;
-  const std::uint64_t spills_before = core::small_vec_spill_count();
-  for (SeqNo s = 0; s < 4; ++s) v.push_back(s);
-  EXPECT_FALSE(v.spilled());
-  EXPECT_EQ(core::small_vec_spill_count(), spills_before);
-  EXPECT_EQ(v, (std::vector<SeqNo>{0, 1, 2, 3}));
-}
-
-TEST(SmallVec, SpillsExactlyAtCapacityPlusOne) {
-  core::SmallVec<SeqNo, 4> v;
-  for (SeqNo s = 0; s < 4; ++s) v.push_back(s);
-  const std::uint64_t spills_before = core::small_vec_spill_count();
-  v.push_back(4);  // the boundary
-  EXPECT_TRUE(v.spilled());
-  EXPECT_EQ(core::small_vec_spill_count(), spills_before + 1);
-  EXPECT_EQ(v, (std::vector<SeqNo>{0, 1, 2, 3, 4}));
-}
-
-TEST(SmallVec, MoveStealsSpilledBufferButCopiesInline) {
-  core::SmallVec<SeqNo, 4> inline_v;
-  inline_v.push_back(1);
-  core::SmallVec<SeqNo, 4> a(std::move(inline_v));
-  EXPECT_FALSE(a.spilled());
-  EXPECT_EQ(a, (std::vector<SeqNo>{1}));
-  EXPECT_TRUE(inline_v.empty());
-
-  core::SmallVec<SeqNo, 4> spilled_v;
-  for (SeqNo s = 0; s < 6; ++s) spilled_v.push_back(s);
-  const SeqNo* buf = spilled_v.data();
-  core::SmallVec<SeqNo, 4> b(std::move(spilled_v));
-  EXPECT_TRUE(b.spilled());
-  EXPECT_EQ(b.data(), buf);  // pointer steal, no copy
-  EXPECT_TRUE(spilled_v.empty());
-  EXPECT_FALSE(spilled_v.spilled());
-}
-
-TEST(SmallVec, SnackInlineCapacityCoversTheProtocolCaps) {
-  // eJTP caps SNACKs at 32 entries and TCP-SACK at 16; the inline
-  // capacity must cover both so in-tree ACK traffic never allocates.
-  static_assert(core::kSnackInlineEntries >= 32, "snack cap must fit inline");
-  core::Snack s;
-  const std::uint64_t spills_before = core::small_vec_spill_count();
-  for (SeqNo i = 0; i < 32; ++i) s.missing.push_back(i);
-  for (SeqNo i = 0; i < 32; ++i) s.locally_recovered.push_back(i);
-  EXPECT_EQ(core::small_vec_spill_count(), spills_before);
-}
-
 // --------------------------- Simulator reset ---------------------------
 
 TEST(SimulatorReset, ReusesEventPoolCapacityAcrossRuns) {
@@ -173,12 +122,10 @@ TEST(SimulatorReset, DropsPendingEventsWithoutFiringThem) {
 
 // --------------------- steady-state zero allocation ---------------------
 
-// The acceptance test for the pooling refactor: drive a real multi-hop
-// JTP scenario to a warmed-up steady state, then keep running and assert
-// that every pool has stopped growing — event slots, callback spill
-// blocks, packet slots, and SNACK inline storage. Traffic continues
-// (reuse counters keep climbing) while capacity and high-water marks
-// stay frozen: the pipeline runs allocation-free.
+// Drive a real multi-hop JTP scenario to a warmed-up steady state, then
+// keep running and assert that the event-slot and packet pools have
+// stopped growing. Traffic continues (reuse counters keep climbing)
+// while capacity and high-water marks stay frozen.
 TEST(SteadyState, DeliveryPipelinePerformsZeroPoolGrowth) {
   exp::ScenarioSpec spec;  // linear chain defaults
   spec.net_size = 5;
@@ -194,38 +141,24 @@ TEST(SteadyState, DeliveryPipelinePerformsZeroPoolGrowth) {
 
   net.run_until(150.0);  // warm-up: pools reach their working set
   const auto ev_warm = net.simulator().event_pool_stats();
-  const auto sp_warm = net.simulator().callback_spill_stats();
   const auto pk_warm = net.packet_pool().stats();
-  const std::uint64_t sv_warm = core::small_vec_spill_count();
   const std::uint64_t delivered_warm = flow.delivered_packets();
 
   net.run_until(400.0);  // steady state: 2.5x more traffic
   const auto ev = net.simulator().event_pool_stats();
-  const auto sp = net.simulator().callback_spill_stats();
   const auto pk = net.packet_pool().stats();
 
   // Traffic really flowed in the measured window...
   EXPECT_GT(flow.delivered_packets(), delivered_warm + 100);
   EXPECT_GT(ev.reuses, ev_warm.reuses);
   EXPECT_GT(pk.reuses, pk_warm.reuses);
-  // ...yet no pool grew and nothing escaped to the heap.
+  // ...yet neither pool grew.
   EXPECT_EQ(ev.capacity, ev_warm.capacity);
   EXPECT_EQ(ev.high_water, ev_warm.high_water);
   EXPECT_EQ(ev.heap_allocs, ev_warm.heap_allocs);
-  EXPECT_EQ(sp.capacity, sp_warm.capacity);
-  EXPECT_EQ(sp.heap_allocs, sp_warm.heap_allocs);
-  EXPECT_EQ(sp.oversize_allocs, 0u);
-  // Stronger than "stopped growing": with Env::schedule forwarding
-  // straight into SmallFn (no std::function detour), every timer closure
-  // in the transport stack fits the 48-byte inline buffer — the spill
-  // pool never allocates a single block over the whole run.
-  EXPECT_EQ(sp.capacity, 0u);
-  EXPECT_EQ(sp.high_water, 0u);
-  EXPECT_EQ(sp.heap_allocs, 0u);
   EXPECT_EQ(pk.capacity, pk_warm.capacity);
   EXPECT_EQ(pk.high_water, pk_warm.high_water);
   EXPECT_EQ(pk.heap_allocs, pk_warm.heap_allocs);
-  EXPECT_EQ(core::small_vec_spill_count(), sv_warm);
 
   flow.stop();
 }

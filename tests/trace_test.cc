@@ -1,10 +1,9 @@
 // Tests for the tabular output layer: CSV escaping, Cell rendering,
-// Series schema enforcement and serialization, CsvWriter streaming.
+// Series schema enforcement and serialization.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "sim/trace.h"
 
@@ -97,39 +96,6 @@ TEST(Series, CsvEscapesHeaderAndTextCells) {
   EXPECT_EQ(os.str(),
             "\"name, first\",v\n"
             "\"a \"\"quoted\"\" one\",1.5\n");
-}
-
-TEST(Series, WriteCsvFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "trace_test_series.csv";
-  Series s({{"a", 1}});
-  s.append({1.0});
-  ASSERT_TRUE(s.write_csv_file(path));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "a\n1.0\n");
-  std::remove(path.c_str());
-}
-
-TEST(Series, WriteCsvFileFailsOnBadPath) {
-  Series s({{"a", 1}});
-  EXPECT_FALSE(s.write_csv_file("/nonexistent-dir/x/y.csv"));
-}
-
-TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = ::testing::TempDir() + "trace_test_writer.csv";
-  {
-    CsvWriter w(path, {"t", "v"});
-    ASSERT_TRUE(w.ok());
-    w.row({1.0, 2.5});
-    w.row(std::vector<std::string>{"x,y", "ok"});
-    EXPECT_THROW(w.row({1.0}), std::invalid_argument);
-  }
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "t,v\n1,2.5\n\"x,y\",ok\n");
-  std::remove(path.c_str());
 }
 
 }  // namespace
