@@ -279,6 +279,23 @@ std::vector<T> sweep_or(const T& value, const T& base_default,
   return sweep;
 }
 
+// Validates the spec of every net_size point of a sweep before the first
+// run. The user's tokens were validated against the base spec only, so a
+// workload one point cannot host (fan_in=3 at net_size 2) exits 2 here
+// with the validation message instead of throwing inside a run.
+inline void validate_sizes(const exp::ScenarioSpec& base,
+                           const std::vector<std::size_t>& sizes) {
+  for (const std::size_t n : sizes) {
+    auto spec = base;
+    spec.net_size = n;
+    const auto err = exp::validate_spec(spec);
+    if (err.empty()) continue;
+    std::fprintf(stderr, "error: --scenario: %s (sweep point net_size=%zu)\n",
+                 err.c_str(), n);
+    std::exit(2);
+  }
+}
+
 // For benches whose measurement is specific to one protocol (ablations,
 // single-protocol figures): reject a --proto that asks for anything else
 // instead of silently ignoring it.

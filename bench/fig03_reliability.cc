@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
   const auto sizes =
       bench::sweep_or<std::size_t>(base.net_size, defaults.net_size,
                                    {2, 3, 4, 5, 6, 7, 8, 9});
+  bench::validate_sizes(base, sizes);
+  bench::validate_sizes(base, {4});  // section (c)'s 4-node path
 
   auto rep = bench::make_report(
       opt, "",

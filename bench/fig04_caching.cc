@@ -52,6 +52,7 @@ int main(int argc, char** argv) {
   bench::apply_scenario(opt, base);
   const auto sizes = bench::sweep_or<std::size_t>(
       base.net_size, defaults.net_size, {3, 4, 5, 6, 7, 8, 9});
+  bench::validate_sizes(base, sizes);
   // Section (b) reports per-node energy for the 7-node case, or for the
   // sweep's largest size when an override collapsed the sweep.
   const std::size_t b_n =

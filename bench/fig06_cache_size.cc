@@ -58,6 +58,7 @@ int main(int argc, char** argv) {
       {1, 2, 4, 8, 16, 32, 64, 128});
   const auto sizes = bench::sweep_or<std::size_t>(
       base.net_size, defaults.net_size, {4, 6, 8});
+  bench::validate_sizes(base, sizes);
 
   std::printf("=== Figure 6: effect of cache size on source retransmissions ===\n");
   std::printf("long-lived reliable flow, lossy linear nets, %.0f s, %zu runs\n",

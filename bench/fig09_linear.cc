@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   const auto sizes =
       bench::sweep_or<std::size_t>(base.net_size, defaults.net_size,
                                    {2, 3, 4, 5, 6, 7, 8, 9, 10});
+  bench::validate_sizes(base, sizes);
 
   std::printf("=== Figure 9: linear topologies, JTP vs ATP vs TCP-SACK ===\n");
   std::printf("2 competing flows, Gilbert links (10%% bad / 3 s), %.0f s, "

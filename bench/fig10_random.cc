@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
       opt.protos_or({exp::Proto::kJtp, exp::Proto::kAtp, exp::Proto::kTcp});
   const auto sizes = bench::sweep_or<std::size_t>(
       base.net_size, defaults.net_size, {10, 15, 20, 25});
+  bench::validate_sizes(base, sizes);
 
   std::printf("=== Figure 10: static random topologies ===\n");
   std::printf("5 random flows, %.0f s, %zu runs, 95%% CI\n\n", duration,

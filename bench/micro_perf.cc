@@ -245,7 +245,8 @@ BENCHMARK(BM_BbrStateMachine);
 
 // ---------------------------------------------------------------------------
 // Control-plane kernels: neighbor queries and routing refresh at small
-// (paper, n=25) and production (n=400) scales. BM_RoutingRefresh models
+// (paper, n=25) and production (n=400; routing also at the scale_mobile
+// workloads' n=1000) scales. BM_RoutingRefresh models
 // the steady-state control-plane work of a mobile scenario: one node
 // moves, the view refreshes, and the handful of sources with live flows
 // look up their next hops.
@@ -289,7 +290,11 @@ void BM_RoutingRefresh(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RoutingRefresh)->Arg(25)->Arg(400)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RoutingRefresh)
+    ->Arg(25)
+    ->Arg(400)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
 
 // The per-MAC-attempt channel path: transmission_lost on a warm link set
 // sized like a 400-node field (~4 links/node). One iteration = one dwell

@@ -132,6 +132,7 @@ int main(int argc, char** argv) {
       base.net_size, defaults.net_size,
       opt.full ? std::vector<std::size_t>{100, 400, 1000}
                : std::vector<std::size_t>{100, 400});
+  bench::validate_sizes(base, sizes);
   const auto macs = bench::sweep_or<mac::Mac>(
       base.mac, defaults.mac,
       {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});

@@ -16,11 +16,6 @@ PacketCache::PacketCache(std::size_t capacity_packets)
     : capacity_(capacity_packets) {
   if (capacity_packets == 0)
     throw std::invalid_argument("PacketCache: capacity must be >= 1");
-  entries_.resize(capacity_);
-  // Chain all entries into the freelist (via chain_next).
-  for (std::size_t i = 0; i < capacity_; ++i)
-    entries_[i].chain_next =
-        i + 1 < capacity_ ? static_cast<std::uint32_t>(i + 1) : kNil;
   const std::size_t nbuckets = next_pow2(2 * capacity_);
   buckets_.assign(nbuckets, kNil);
   bucket_mask_ = nbuckets - 1;
@@ -90,9 +85,14 @@ void PacketCache::insert(const PacketHeader& p) {
     return;
   }
   if (live_ >= capacity_) evict_one();
-  const std::uint32_t idx = free_head_;
+  std::uint32_t idx = free_head_;
+  if (idx == kNil) {
+    idx = static_cast<std::uint32_t>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    free_head_ = entries_[idx].chain_next;
+  }
   Entry& e = entries_[idx];
-  free_head_ = e.chain_next;
   e.packet = p;
   e.packet.is_source_retransmission = false;
   e.packet.is_cache_retransmission = false;

@@ -6,12 +6,14 @@
 // manipulated" covers both insertion and a retransmission hit, so packets
 // under active repair stay resident. Capacity is shared across flows.
 //
-// Storage: all entries live in a slab allocated once at construction —
-// an intrusive doubly-linked LRU over slab indices plus a chained hash
-// table (buckets sized 2× capacity, rounded to a power of two). Insert,
-// lookup, and eviction perform no heap allocation; cached packets are
-// bare PacketHeaders (only data packets are cacheable, and data packets
-// carry no ack body).
+// Storage: entries live in a slab that grows on demand, one entry per
+// insert that finds the freelist empty, up to `capacity` entries — so a
+// node that caches little costs little. An intrusive doubly-linked LRU runs
+// over slab indices, plus a chained hash table (buckets sized 2× capacity,
+// rounded to a power of two). Once the slab is full, insert, lookup and
+// eviction perform no heap allocation; cached packets are bare
+// PacketHeaders (only data packets are cacheable, and data packets carry
+// no ack body).
 #pragma once
 
 #include <cstddef>
@@ -79,12 +81,12 @@ class PacketCache {
   void evict_one();
 
   std::size_t capacity_;
-  std::vector<Entry> entries_;           // slab, size == capacity
+  std::vector<Entry> entries_;           // slab, size <= capacity
   std::vector<std::uint32_t> buckets_;   // chain heads
   std::size_t bucket_mask_ = 0;
   std::uint32_t lru_head_ = kNil;  // most recently manipulated
   std::uint32_t lru_tail_ = kNil;  // eviction victim
-  std::uint32_t free_head_ = 0;
+  std::uint32_t free_head_ = kNil;  // freed slots, reused before growth
   std::size_t live_ = 0;
 
   std::uint64_t hits_ = 0;

@@ -335,6 +335,8 @@ std::string fmt_double(double v) {
   return std::string(buf, r.ptr);
 }
 
+}  // namespace
+
 // Cross-key validation. Tuning a MAC discipline the spec does not select
 // would be a silent no-op, so it is an error instead; those checks
 // trigger only on non-default values — to_string() always emits every
@@ -362,8 +364,6 @@ std::string validate_spec(const ScenarioSpec& s) {
     return "scenario: fan_in must be at most net_size - 1";
   return "";
 }
-
-}  // namespace
 
 std::string apply_scenario_tokens(ScenarioSpec& spec,
                                   const std::string& text) {

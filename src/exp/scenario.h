@@ -134,6 +134,11 @@ std::vector<std::string> preset_names();
 std::string apply_scenario_tokens(ScenarioSpec& spec,
                                   const std::string& text);
 
+// Cross-key validation alone, for a spec assembled in code (e.g. one
+// sweep point of a bench). Returns "" when valid, else the same message a
+// parse of the spec would give; build() throws it as invalid_argument.
+std::string validate_spec(const ScenarioSpec& spec);
+
 struct SpecParse {
   ScenarioSpec spec;
   std::string error;  // non-empty => parse failed

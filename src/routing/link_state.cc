@@ -12,13 +12,10 @@ constexpr int kUnreachable = std::numeric_limits<int>::max();
 LinkStateRouting::LinkStateRouting(sim::Simulator& sim,
                                    const phy::Topology& topo,
                                    RoutingConfig cfg)
-    : sim_(sim),
-      topo_(topo),
-      cfg_(cfg),
-      snapshot_(topo),
-      snapshot_gen_(topo.generation()) {
+    : sim_(sim), topo_(topo), cfg_(cfg) {
   if (cfg.refresh_interval_s <= 0)
     throw std::invalid_argument("LinkStateRouting: bad refresh interval");
+  capture_view();
   const std::size_t n = topo_.size();
   dist_.assign(n * n, kUnreachable);
   next_.assign(n * n, core::kInvalidNode);
@@ -43,11 +40,24 @@ void LinkStateRouting::start() {
 
 void LinkStateRouting::refresh() {
   ++stats_.refreshes;
-  if (topo_.generation() == snapshot_gen_) return;  // view already current
+  if (topo_.generation() == view_gen_) return;  // view already current
   ++stats_.snapshots;
-  snapshot_ = topo_;
-  snapshot_gen_ = topo_.generation();
+  capture_view();
   ++epoch_;  // invalidates every row without touching them
+}
+
+void LinkStateRouting::capture_view() {
+  const std::size_t n = topo_.size();
+  adj_off_.resize(n + 1);
+  adj_.clear();
+  std::vector<core::NodeId> nbrs;
+  for (core::NodeId u = 0; u < n; ++u) {
+    adj_off_[u] = adj_.size();
+    topo_.neighbors_into(u, nbrs);
+    adj_.insert(adj_.end(), nbrs.begin(), nbrs.end());
+  }
+  adj_off_[n] = adj_.size();
+  view_gen_ = topo_.generation();
 }
 
 void LinkStateRouting::ensure_row(core::NodeId s) const {
@@ -55,14 +65,14 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
     ++stats_.row_reuses;
     return;
   }
-  const std::size_t n = snapshot_.size();
+  const std::size_t n = topo_.size();
   int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
   core::NodeId* next = next_.data() + static_cast<std::size_t>(s) * n;
   for (std::size_t d = 0; d < n; ++d) {
     dist[d] = kUnreachable;
     next[d] = core::kInvalidNode;
   }
-  // BFS over the snapshot's unit-cost range graph, carrying the first hop
+  // BFS over the view's unit-cost range graph, carrying the first hop
   // forward: next[v] inherits next[u] (or v itself when u is the source),
   // which walks out to the same first hop the old parent-chain walk found.
   dist[s] = 0;
@@ -70,8 +80,8 @@ void LinkStateRouting::ensure_row(core::NodeId s) const {
   bfs_queue_.push_back(s);
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const core::NodeId u = bfs_queue_[head];
-    snapshot_.neighbors_into(u, bfs_nbrs_);
-    for (core::NodeId v : bfs_nbrs_) {
+    for (std::size_t k = adj_off_[u]; k < adj_off_[u + 1]; ++k) {
+      const core::NodeId v = adj_[k];
       if (dist[v] != kUnreachable) continue;
       dist[v] = dist[u] + 1;
       next[v] = (u == s) ? v : next[u];

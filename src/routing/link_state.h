@@ -15,20 +15,25 @@
 // the paper's metric ("we will not consider the energy consumed for
 // network maintenance by the lower layers").
 //
-// Scale model: a refresh is an O(n) position snapshot, not an all-pairs
+// Scale model: a refresh captures the view (below), not an all-pairs
 // recompute. Shortest-path rows are flat, contiguous and per-source, built
-// lazily the first time a source is queried against the current snapshot
-// and kept until the snapshot actually changes (tracked by the topology's
+// lazily the first time a source is queried against the current view and
+// kept until the view actually changes (tracked by the topology's
 // generation counter). A static 1000-node field therefore pays BFS only
 // for sources that carry flows, and pays it once — refreshes on an
 // unchanged topology are no-ops. RoutingStats is the observable contract
 // for that claim, mirroring sim::PoolStats for the data-plane pools.
 //
-// Any refresh that sees a new topology generation re-copies the snapshot
-// and bumps an epoch, which invalidates every cached row at once; each
-// row rebuilds on its next query. Patching rows in place instead was
-// measured not to pay end to end (docs/ARCHITECTURE.md, "Lazy-only
-// routing").
+// The view itself is a CSR (compressed sparse row) adjacency: one
+// ascending neighbor list per node, captured with one grid query per node
+// at construction and at every refresh that sees a new topology
+// generation. BFS then scans flat arrays instead of querying the grid per
+// visited node. The lists keep `neighbors_into` order, so BFS discovery
+// order and every tie-break match a BFS over the live topology at refresh
+// time. A capture also bumps an epoch, which invalidates every cached row
+// at once; each row rebuilds on its next query. Patching rows in place
+// instead was measured not to pay end to end (docs/ARCHITECTURE.md,
+// "Lazy-only routing").
 #pragma once
 
 #include <cstdint>
@@ -85,19 +90,24 @@ class LinkStateRouting {
   const RoutingConfig& config() const { return cfg_; }
 
  private:
-  // Builds the dist/next row for source `s` against the snapshot if it is
-  // not already valid for the current view epoch.
+  // Captures the live topology's adjacency into the CSR view.
+  void capture_view();
+
+  // Builds the dist/next row for source `s` against the view if it is not
+  // already valid for the current view epoch.
   void ensure_row(core::NodeId s) const;
 
   sim::Simulator& sim_;
   const phy::Topology& topo_;
   RoutingConfig cfg_;
 
-  // The view: a copy of the topology as of the last refresh that observed
-  // a change. Queries never touch the live topology, so lazy row builds
+  // The view: the adjacency as of the last refresh that observed a
+  // change. Node u's neighbors are adj_[adj_off_[u] .. adj_off_[u+1]),
+  // ascending. Queries never touch the live topology, so lazy row builds
   // see exactly what an eager refresh-time recompute would have seen.
-  phy::Topology snapshot_;
-  std::uint64_t snapshot_gen_;
+  std::vector<std::size_t> adj_off_;
+  std::vector<core::NodeId> adj_;
+  std::uint64_t view_gen_ = 0;
 
   // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
   // on a shortest path. A row is valid iff row_epoch_[s] == epoch_.
@@ -108,7 +118,6 @@ class LinkStateRouting {
 
   // BFS scratch (reused across rows; no steady-state allocation).
   mutable std::vector<core::NodeId> bfs_queue_;
-  mutable std::vector<core::NodeId> bfs_nbrs_;
 
   mutable RoutingStats stats_;
   bool started_ = false;

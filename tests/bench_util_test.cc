@@ -127,6 +127,18 @@ TEST(SweepOr, CollapsesOnlyWhenOverridden) {
             std::vector<std::size_t>{12});  // override wins
 }
 
+// A workload valid at the base net_size but unhostable at a smaller
+// sweep point exits 2 with the validation message before any run.
+TEST(ValidateSizes, UnhostableSweepPointExitsTwo) {
+  const auto parsed = exp::parse_scenario("linear,workload=fan_in,fan_in=3");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  validate_sizes(parsed.spec, {4, 5, 10});  // every point hosts 3 senders
+  EXPECT_EXIT(validate_sizes(parsed.spec, {2, 3, 4}),
+              ::testing::ExitedWithCode(2),
+              "fan_in must be at most net_size - 1 \\(sweep point "
+              "net_size=2\\)");
+}
+
 TEST(Options, ProtoHelpers) {
   Options o;
   const std::vector<exp::Proto> defaults{exp::Proto::kJtp, exp::Proto::kTcp};

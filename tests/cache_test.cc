@@ -119,6 +119,25 @@ TEST(PacketCache, EraseFlowRemovesOnlyThatFlow) {
   EXPECT_TRUE(c.contains(2, 0));
 }
 
+// Slots freed by erase_flow are reused before the slab grows, and the
+// LRU order stays exact across reuse, growth and eviction.
+TEST(PacketCache, FreedSlotsAndGrowthKeepLruOrder) {
+  PacketCache c(6);
+  for (SeqNo s = 0; s < 3; ++s) c.insert(data(1, s));
+  for (SeqNo s = 0; s < 2; ++s) c.insert(data(2, s));
+  c.erase_flow(1);  // three free slots, two live entries
+  for (SeqNo s = 0; s < 5; ++s) c.insert(data(3, s));
+  EXPECT_EQ(c.size(), 6u);
+  EXPECT_EQ(c.evictions(), 1u);
+  EXPECT_FALSE(c.contains(2, 0));  // least recently manipulated
+  EXPECT_TRUE(c.contains(2, 1));
+  c.insert(data(4, 0));
+  EXPECT_FALSE(c.contains(2, 1));
+  for (SeqNo s = 0; s < 5; ++s) EXPECT_TRUE(c.contains(3, s)) << s;
+  ASSERT_NE(c.lookup(4, 0), nullptr);
+  EXPECT_EQ(c.lookup(4, 0)->seq, 0u);
+}
+
 TEST(PacketCache, CapacityOneWorks) {
   PacketCache c(1);
   c.insert(data(1, 0));

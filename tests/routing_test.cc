@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "phy/topology.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -223,6 +226,85 @@ TEST(LinkStateRouting, FullRebuildModeStaysCorrect) {
   }
   // Every refresh saw a new generation (construction + 10 rounds).
   EXPECT_EQ(r.stats().snapshots, 11u);
+}
+
+// A plain BFS over a topology's neighbors(), independent of the router:
+// dist (-1 = unreachable) and the first hop toward each node, with ties
+// broken by ascending neighbor id.
+struct PlainBfs {
+  std::vector<int> dist;
+  std::vector<core::NodeId> first;
+};
+
+PlainBfs plain_bfs(const phy::Topology& t, core::NodeId s) {
+  PlainBfs b{std::vector<int>(t.size(), -1),
+             std::vector<core::NodeId>(t.size(), core::kInvalidNode)};
+  std::vector<core::NodeId> queue{s};
+  b.dist[s] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const core::NodeId u = queue[head];
+    for (const core::NodeId v : t.neighbors(u)) {
+      if (b.dist[v] >= 0) continue;
+      b.dist[v] = b.dist[u] + 1;
+      b.first[v] = u == s ? v : b.first[u];
+      queue.push_back(v);
+    }
+  }
+  return b;
+}
+
+// The view is the adjacency as of the last refresh that saw a change: a
+// row first built after later moves must still answer from refresh-time
+// links. The oracle is a BFS over a Topology copy taken at the refresh,
+// so a view read from the live topology at query time fails here.
+TEST(LinkStateRouting, ViewIsCapturedAtRefreshTime) {
+  sim::Rng rng(31);
+  sim::Simulator sim;
+  const std::size_t n = 40;
+  const double side = 200.0;
+  auto topo = random_field(n, side, rng);
+  LinkStateRouting r(sim, topo);
+  std::size_t stale_answers = 0;  // pairs where the live graph differs
+  for (int round = 0; round < 20; ++round) {
+    for (int m = 0; m < 5; ++m)
+      topo.set_position(static_cast<core::NodeId>(rng.integer(n)),
+                        {rng.uniform(0.0, side), rng.uniform(0.0, side)});
+    r.refresh();
+    const phy::Topology at_refresh = topo;
+    // Materialize a few rows before the post-refresh moves.
+    std::vector<bool> queried(n, false);
+    for (int q = 0; q < 5; ++q) {
+      const auto s = static_cast<core::NodeId>(rng.integer(n));
+      (void)r.next_hop(s, 0);
+      queried[s] = true;
+    }
+    // Links change after the refresh; no refresh follows.
+    for (int m = 0; m < 10; ++m)
+      topo.set_position(static_cast<core::NodeId>(rng.integer(n)),
+                        {rng.uniform(0.0, side), rng.uniform(0.0, side)});
+    for (core::NodeId s = 0; s < n; ++s) {
+      if (queried[s]) continue;
+      const auto want = plain_bfs(at_refresh, s);
+      const auto live = plain_bfs(topo, s);
+      for (core::NodeId d = 0; d < n; ++d) {
+        const auto hops = want.dist[d] < 0
+                              ? std::nullopt
+                              : std::optional<int>(want.dist[d]);
+        const auto next = want.first[d] == core::kInvalidNode
+                              ? std::nullopt
+                              : std::optional<core::NodeId>(want.first[d]);
+        EXPECT_EQ(r.hops(s, d), hops)
+            << "round " << round << ": hops(" << s << "," << d << ")";
+        EXPECT_EQ(r.next_hop(s, d), next)
+            << "round " << round << ": next_hop(" << s << "," << d << ")";
+        if (live.dist[d] != want.dist[d] || live.first[d] != want.first[d])
+          ++stale_answers;
+      }
+    }
+  }
+  // The post-refresh moves must have changed answers, or the test would
+  // not tell a refresh-time view from a live one.
+  EXPECT_GT(stale_answers, 0u);
 }
 
 TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
