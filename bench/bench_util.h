@@ -69,6 +69,14 @@ struct ParseResult {
   bool ok() const { return error.empty(); }
 };
 
+// Names the --scenario flag in a spec-language error. Those messages
+// already start with "scenario: ", which the flag name replaces.
+inline std::string scenario_error(const std::string& err) {
+  const std::string prefix = "scenario: ";
+  const bool has = err.compare(0, prefix.size(), prefix) == 0;
+  return "--scenario: " + (has ? err.substr(prefix.size()) : err);
+}
+
 inline const char* usage_text() {
   return
       "  --full            paper-scale durations and seed counts (slower)\n"
@@ -163,7 +171,7 @@ inline ParseResult parse_args(int argc, char** argv) {
       const auto err = exp::apply_scenario_tokens(scratch,
                                                   r.options.scenario);
       if (!err.empty()) {
-        r.error = "--scenario: " + err;
+        r.error = scenario_error(err);
         return r;
       }
       // Protocol and seed have dedicated, bench-aware flags; a proto= or
@@ -253,7 +261,7 @@ inline void apply_scenario(const Options& opt, exp::ScenarioSpec& spec) {
   auto updated = spec;
   const auto err = exp::apply_scenario_tokens(updated, opt.scenario);
   if (!err.empty()) {
-    std::fprintf(stderr, "error: --scenario: %s\n", err.c_str());
+    std::fprintf(stderr, "error: %s\n", scenario_error(err).c_str());
     std::exit(2);
   }
   if (updated.proto != spec.proto) {
@@ -290,8 +298,8 @@ inline void validate_sizes(const exp::ScenarioSpec& base,
     spec.net_size = n;
     const auto err = exp::validate_spec(spec);
     if (err.empty()) continue;
-    std::fprintf(stderr, "error: --scenario: %s (sweep point net_size=%zu)\n",
-                 err.c_str(), n);
+    std::fprintf(stderr, "error: %s (sweep point net_size=%zu)\n",
+                 scenario_error(err).c_str(), n);
     std::exit(2);
   }
 }

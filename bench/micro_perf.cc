@@ -249,7 +249,8 @@ BENCHMARK(BM_BbrStateMachine);
 // workloads' n=1000) scales. BM_RoutingRefresh models
 // the steady-state control-plane work of a mobile scenario: one node
 // moves, the view refreshes, and the handful of sources with live flows
-// look up their next hops.
+// look up their next hops toward one sink, which share one destination
+// row (one BFS per iteration).
 // ---------------------------------------------------------------------------
 
 phy::Topology scale_field(std::size_t n, sim::Rng& rng) {

@@ -17,12 +17,16 @@
 // --scenario scale_mobile (or speed=1) runs the same sweep under 1 m/s
 // random waypoint; workload=on_off,transfer=50 gives bursty sources.
 //
-// Wall-clock columns are machine-dependent, so this bench is excluded
-// from the committed-baseline suite (like micro_perf). --deterministic
-// drops those columns (wall_s, pkts_per_wall_s, kevt_per_wall_s) and
-// keeps everything the simulation computed — event counts, routing row
-// stats and pool high-waters included — leaving a byte-stable CSV that
-// CI diffs across --jobs values.
+// Wall-clock and memory columns are machine-dependent, so this bench is
+// excluded from the committed-baseline suite (like micro_perf).
+// peak_rss_mb is the process's peak resident set (getrusage ru_maxrss)
+// after a row's runs, so it covers every earlier row too. --deterministic
+// drops those columns (wall_s, pkts_per_wall_s, kevt_per_wall_s,
+// peak_rss_mb) and keeps everything the simulation computed — event
+// counts, routing row stats and pool high-waters included — leaving a
+// byte-stable CSV that CI diffs across --jobs values.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -103,6 +107,13 @@ double mean_of(const std::vector<ScaleRun>& runs, double ScaleRun::*field) {
   return summarize(runs, field).mean();
 }
 
+// Peak resident set of this process so far, in MB (Linux reports KB).
+double peak_rss_mb() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -151,6 +162,7 @@ int main(int argc, char** argv) {
     if (!deterministic) {
       cols.push_back({"pkts_per_wall_s", 0});
       cols.push_back({"kevt_per_wall_s", 0});
+      cols.push_back({"peak_rss_mb", 1});
     }
     for (const auto& c : std::vector<sim::Column>{{"xmits", 0},
                                                   {"queue_drops", 0},
@@ -192,6 +204,7 @@ int main(int argc, char** argv) {
       if (!deterministic) {
         row.push_back(wall > 0 ? pkts / wall : 0.0);
         row.push_back(wall > 0 ? events / wall / 1e3 : 0.0);
+        row.push_back(peak_rss_mb());
       }
       row.push_back(mean_of(runs, &ScaleRun::transmissions));
       row.push_back(mean_of(runs, &ScaleRun::queue_drops));
@@ -218,9 +231,10 @@ int main(int argc, char** argv) {
       "expected shape: under mac=tdma, colors == n and per-flow delivery\n"
       "collapses as 1/(n*slot); under mac=tdma_reuse, colors tracks local\n"
       "density (reuse = n/colors grows with n), so aggregate pkts keeps\n"
-      "growing with field area. rows_built stays near (sources on live\n"
-      "paths) x (snapshots); the pool high-water marks grow with flows,\n"
-      "not with net_size. Under scale_mobile every refresh is a new\n"
-      "snapshot, so rows_built grows with the simulated time.\n");
+      "growing with field area. Routing rows are per destination, so\n"
+      "rows_built stays near (distinct flow destinations) x (snapshots);\n"
+      "the pool high-water marks grow with flows, not with net_size.\n"
+      "Under scale_mobile every refresh is a new snapshot, so rows_built\n"
+      "grows with the simulated time.\n");
   return 0;
 }

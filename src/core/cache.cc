@@ -1,5 +1,6 @@
 #include "core/cache.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace jtp::core {
@@ -13,12 +14,22 @@ std::size_t next_pow2(std::size_t n) {
 }  // namespace
 
 PacketCache::PacketCache(std::size_t capacity_packets)
-    : capacity_(capacity_packets) {
+    : capacity_(capacity_packets),
+      max_buckets_(next_pow2(2 * capacity_packets)) {
   if (capacity_packets == 0)
     throw std::invalid_argument("PacketCache: capacity must be >= 1");
-  const std::size_t nbuckets = next_pow2(2 * capacity_);
+  rehash(std::min(kMinBuckets, max_buckets_));
+}
+
+void PacketCache::rehash(std::size_t nbuckets) {
   buckets_.assign(nbuckets, kNil);
   bucket_mask_ = nbuckets - 1;
+  for (std::uint32_t i = lru_head_; i != kNil; i = entries_[i].lru_next) {
+    const std::size_t b = bucket_of(entries_[i].packet.flow,
+                                    entries_[i].packet.seq);
+    entries_[i].chain_next = buckets_[b];
+    buckets_[b] = i;
+  }
 }
 
 std::uint32_t PacketCache::find(FlowId flow, SeqNo seq) const {
@@ -85,6 +96,8 @@ void PacketCache::insert(const PacketHeader& p) {
     return;
   }
   if (live_ >= capacity_) evict_one();
+  if (2 * (live_ + 1) > buckets_.size() && buckets_.size() < max_buckets_)
+    rehash(2 * buckets_.size());
   std::uint32_t idx = free_head_;
   if (idx == kNil) {
     idx = static_cast<std::uint32_t>(entries_.size());

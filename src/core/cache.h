@@ -9,11 +9,14 @@
 // Storage: entries live in a slab that grows on demand, one entry per
 // insert that finds the freelist empty, up to `capacity` entries — so a
 // node that caches little costs little. An intrusive doubly-linked LRU runs
-// over slab indices, plus a chained hash table (buckets sized 2× capacity,
-// rounded to a power of two). Once the slab is full, insert, lookup and
-// eviction perform no heap allocation; cached packets are bare
-// PacketHeaders (only data packets are cacheable, and data packets carry
-// no ack body).
+// over slab indices, plus a chained hash table whose bucket array follows
+// the live count the same way: it starts at kMinBuckets and doubles (with
+// a rehash) when an insert would take the live count past half the
+// buckets, up to 2× capacity rounded to a power of two. Chain order never
+// reaches a result: find matches a unique key, and erase_flow walks the
+// LRU list. Once both are at full size, insert, lookup and eviction
+// perform no heap allocation; cached packets are bare PacketHeaders (only
+// data packets are cacheable, and data packets carry no ack body).
 #pragma once
 
 #include <cstddef>
@@ -47,6 +50,7 @@ class PacketCache {
 
   std::size_t size() const { return live_; }
   std::size_t capacity() const { return capacity_; }
+  std::size_t bucket_count() const { return buckets_.size(); }
 
   // Counters for the experiment harness.
   std::uint64_t hits() const { return hits_; }
@@ -56,6 +60,7 @@ class PacketCache {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kMinBuckets = 16;
 
   struct Entry {
     PacketHeader packet;
@@ -79,11 +84,13 @@ class PacketCache {
   void chain_remove(std::uint32_t idx);
   void remove_entry(std::uint32_t idx);  // unlink + back to freelist
   void evict_one();
+  void rehash(std::size_t nbuckets);  // relinks every live entry
 
   std::size_t capacity_;
   std::vector<Entry> entries_;           // slab, size <= capacity
-  std::vector<std::uint32_t> buckets_;   // chain heads
+  std::vector<std::uint32_t> buckets_;   // chain heads, power of two
   std::size_t bucket_mask_ = 0;
+  std::size_t max_buckets_;  // next_pow2(2 * capacity)
   std::uint32_t lru_head_ = kNil;  // most recently manipulated
   std::uint32_t lru_tail_ = kNil;  // eviction victim
   std::uint32_t free_head_ = kNil;  // freed slots, reused before growth

@@ -27,11 +27,13 @@ JtpConfigs jtp_configs(const Network& net, core::FlowId flow,
                        const FlowOptions& opt, const PathInfo& path) {
   // A flow can never exceed the TDMA per-node share (every hop must
   // relay it from its own slots); a rate floor well above zero keeps
-  // the control loop observable (samples arrive with data packets).
+  // the control loop observable (samples arrive with data packets). The
+  // floor never exceeds the cap: a classic TDMA frame over many nodes can
+  // leave a share below the 0.1 pps minimum.
   const double capacity = path.node_capacity_pps;
   JtpConfigs c;
   c.rate_cap_pps = std::min(opt.app_delivery_cap_pps, capacity);
-  c.rate_floor_pps = std::max(0.1, 0.07 * capacity);
+  c.rate_floor_pps = std::min(std::max(0.1, 0.07 * capacity), c.rate_cap_pps);
 
   core::SenderConfig& s = c.sender;
   s.flow = flow;

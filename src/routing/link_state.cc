@@ -1,5 +1,6 @@
 #include "routing/link_state.h"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -16,11 +17,8 @@ LinkStateRouting::LinkStateRouting(sim::Simulator& sim,
   if (cfg.refresh_interval_s <= 0)
     throw std::invalid_argument("LinkStateRouting: bad refresh interval");
   capture_view();
-  const std::size_t n = topo_.size();
-  dist_.assign(n * n, kUnreachable);
-  next_.assign(n * n, core::kInvalidNode);
-  row_epoch_.assign(n, 0);  // epoch_ starts at 1: no row is valid yet
-  stats_.refreshes = 1;     // construction takes the first view
+  slot_of_.assign(topo_.size(), kNoSlot);  // no row until first queried
+  stats_.refreshes = 1;  // construction takes the first view
   stats_.snapshots = 1;
 }
 
@@ -60,36 +58,39 @@ void LinkStateRouting::capture_view() {
   view_gen_ = topo_.generation();
 }
 
-void LinkStateRouting::ensure_row(core::NodeId s) const {
-  if (row_epoch_[s] == epoch_) {
-    ++stats_.row_reuses;
-    return;
-  }
+const int* LinkStateRouting::row(core::NodeId d) const {
   const std::size_t n = topo_.size();
-  int* dist = dist_.data() + static_cast<std::size_t>(s) * n;
-  core::NodeId* next = next_.data() + static_cast<std::size_t>(s) * n;
-  for (std::size_t d = 0; d < n; ++d) {
-    dist[d] = kUnreachable;
-    next[d] = core::kInvalidNode;
+  std::uint32_t slot = slot_of_[d];
+  if (slot == kNoSlot) {
+    slot = static_cast<std::uint32_t>(slot_epoch_.size());
+    slot_of_[d] = slot;
+    slot_epoch_.push_back(0);  // epoch_ starts at 1: not valid yet
+    dist_.resize(dist_.size() + n);
   }
-  // BFS over the view's unit-cost range graph, carrying the first hop
-  // forward: next[v] inherits next[u] (or v itself when u is the source),
-  // which walks out to the same first hop the old parent-chain walk found.
-  dist[s] = 0;
+  int* dist = dist_.data() + static_cast<std::size_t>(slot) * n;
+  if (slot_epoch_[slot] == epoch_) {
+    ++stats_.row_reuses;
+    return dist;
+  }
+  std::fill(dist, dist + n, kUnreachable);
+  // BFS over the view's unit-cost range graph, rooted at the destination:
+  // links are symmetric, so dist[v] is the hop count from v to d.
+  dist[d] = 0;
   bfs_queue_.clear();
-  bfs_queue_.push_back(s);
+  bfs_queue_.push_back(d);
   for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
     const core::NodeId u = bfs_queue_[head];
+    const int du = dist[u] + 1;
     for (std::size_t k = adj_off_[u]; k < adj_off_[u + 1]; ++k) {
       const core::NodeId v = adj_[k];
       if (dist[v] != kUnreachable) continue;
-      dist[v] = dist[u] + 1;
-      next[v] = (u == s) ? v : next[u];
+      dist[v] = du;
       bfs_queue_.push_back(v);
     }
   }
-  row_epoch_[s] = epoch_;
+  slot_epoch_[slot] = epoch_;
   ++stats_.rows_built;
+  return dist;
 }
 
 std::optional<core::NodeId> LinkStateRouting::next_hop(core::NodeId at,
@@ -97,18 +98,20 @@ std::optional<core::NodeId> LinkStateRouting::next_hop(core::NodeId at,
   const std::size_t n = topo_.size();
   if (at >= n || dst >= n) return std::nullopt;
   if (at == dst) return std::nullopt;
-  ensure_row(at);
-  const core::NodeId h = next_[static_cast<std::size_t>(at) * n + dst];
-  if (h == core::kInvalidNode) return std::nullopt;
-  return h;
+  const int* dist = row(dst);
+  if (dist[at] == kUnreachable) return std::nullopt;
+  // The lowest-id neighbor one hop closer (see the header's tie-break).
+  const int closer = dist[at] - 1;
+  for (std::size_t k = adj_off_[at]; k < adj_off_[at + 1]; ++k)
+    if (dist[adj_[k]] == closer) return adj_[k];
+  return std::nullopt;  // not reached: a finite-distance node has a closer one
 }
 
 std::optional<int> LinkStateRouting::hops(core::NodeId at,
                                           core::NodeId dst) const {
   const std::size_t n = topo_.size();
   if (at >= n || dst >= n) return std::nullopt;
-  ensure_row(at);
-  const int d = dist_[static_cast<std::size_t>(at) * n + dst];
+  const int d = row(dst)[at];
   if (d == kUnreachable) return std::nullopt;
   return d;
 }
@@ -120,12 +123,10 @@ std::optional<std::vector<core::NodeId>> LinkStateRouting::path(
   std::vector<core::NodeId> p{src};
   core::NodeId cur = src;
   while (cur != dst) {
-    ensure_row(cur);
-    const core::NodeId h = next_[static_cast<std::size_t>(cur) * n + dst];
-    if (h == core::kInvalidNode) return std::nullopt;
-    p.push_back(h);
-    cur = h;
-    if (p.size() > n) return std::nullopt;  // defensive: loop
+    const auto h = next_hop(cur, dst);
+    if (!h) return std::nullopt;
+    p.push_back(*h);
+    cur = *h;
   }
   return p;
 }

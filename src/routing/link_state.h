@@ -16,24 +16,42 @@
 // network maintenance by the lower layers").
 //
 // Scale model: a refresh captures the view (below), not an all-pairs
-// recompute. Shortest-path rows are flat, contiguous and per-source, built
-// lazily the first time a source is queried against the current view and
-// kept until the view actually changes (tracked by the topology's
-// generation counter). A static 1000-node field therefore pays BFS only
-// for sources that carry flows, and pays it once — refreshes on an
-// unchanged topology are no-ops. RoutingStats is the observable contract
-// for that claim, mirroring sim::PoolStats for the data-plane pools.
+// recompute. Rows are keyed by *destination* and hold hop counts only:
+// row(d)[v] is the number of hops from v to d, filled by one BFS rooted at
+// d the first time d is queried against the current view, and kept until
+// the view actually changes (tracked by the topology's generation
+// counter). Every query JTP makes has a fixed destination (next hop toward
+// a packet's dst, remaining hops H_i to it), so one row serves every
+// forwarder on every path into d. A static 1000-node field therefore pays
+// one BFS per flow endpoint, once — refreshes on an unchanged topology are
+// no-ops. RoutingStats is the observable contract for that claim,
+// mirroring sim::PoolStats for the data-plane pools.
+//
+// Tie-break. next_hop(at, d) is the lowest-id neighbor v of `at` with
+// row(d)[v] == row(d)[at] - 1, the first hop a BFS rooted at `at` (FIFO,
+// ascending lists, first-discovery parents) would give. Proof: (1) such a
+// BFS dequeues each level in lexicographic order of tree paths, so its
+// path to d is the lexicographically least shortest path; (2) the first
+// hop of that path is the least neighbor one hop closer to d; (3) links
+// are symmetric (distance <= R), so "closer" is read from d's own BFS.
+// Routes, and so every committed baseline, are those of source-rooted
+// rows; tests/routing_test.cc checks every pair against a source-rooted
+// BFS on a lattice, random fields and a split field.
+//
+// Rows live in one slab. slot_of_[d] maps a destination to its slot on
+// its first query, and the slot is kept for the router's lifetime, so
+// memory grows with the number of distinct flow endpoints (n ints each),
+// not with n².
 //
 // The view itself is a CSR (compressed sparse row) adjacency: one
 // ascending neighbor list per node, captured with one grid query per node
 // at construction and at every refresh that sees a new topology
 // generation. BFS then scans flat arrays instead of querying the grid per
-// visited node. The lists keep `neighbors_into` order, so BFS discovery
-// order and every tie-break match a BFS over the live topology at refresh
-// time. A capture also bumps an epoch, which invalidates every cached row
-// at once; each row rebuilds on its next query. Patching rows in place
-// instead was measured not to pay end to end (docs/ARCHITECTURE.md,
-// "Lazy-only routing").
+// visited node, and next_hop scans `at`'s list in ascending order. A
+// capture also bumps an epoch, which invalidates every cached row at once;
+// each row rebuilds on its next query. Patching rows in place instead was
+// measured not to pay end to end (docs/ARCHITECTURE.md, "Lazy-only
+// routing").
 #pragma once
 
 #include <cstdint>
@@ -57,7 +75,7 @@ struct RoutingConfig {
 struct RoutingStats {
   std::uint64_t refreshes = 0;   // view syncs (periodic + forced + ctor)
   std::uint64_t snapshots = 0;   // syncs that saw a new topology generation
-  std::uint64_t rows_built = 0;  // per-source BFS row computations
+  std::uint64_t rows_built = 0;  // per-destination BFS row computations
   std::uint64_t row_reuses = 0;  // queries served from an existing row
 };
 
@@ -93,9 +111,10 @@ class LinkStateRouting {
   // Captures the live topology's adjacency into the CSR view.
   void capture_view();
 
-  // Builds the dist/next row for source `s` against the view if it is not
-  // already valid for the current view epoch.
-  void ensure_row(core::NodeId s) const;
+  // The hop-count row of destination `d` for the current view epoch,
+  // built by one BFS from `d` if it is not valid yet. The pointer is valid
+  // until the next row() call (the slab may grow).
+  const int* row(core::NodeId d) const;
 
   sim::Simulator& sim_;
   const phy::Topology& topo_;
@@ -109,11 +128,13 @@ class LinkStateRouting {
   std::vector<core::NodeId> adj_;
   std::uint64_t view_gen_ = 0;
 
-  // Flat n*n rows: dist_[s*n + d] = hop count, next_[s*n + d] = first hop
-  // on a shortest path. A row is valid iff row_epoch_[s] == epoch_.
+  // Row slab: slot k holds dist_[k*n .. (k+1)*n), the hops from every
+  // node to the destination d with slot_of_[d] == k (kNoSlot until d is
+  // first queried). Slot k is valid iff slot_epoch_[k] == epoch_.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   mutable std::vector<int> dist_;
-  mutable std::vector<core::NodeId> next_;
-  mutable std::vector<std::uint64_t> row_epoch_;
+  mutable std::vector<std::uint32_t> slot_of_;
+  mutable std::vector<std::uint64_t> slot_epoch_;
   std::uint64_t epoch_ = 1;
 
   // BFS scratch (reused across rows; no steady-state allocation).

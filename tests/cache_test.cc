@@ -138,6 +138,42 @@ TEST(PacketCache, FreedSlotsAndGrowthKeepLruOrder) {
   EXPECT_EQ(c.lookup(4, 0)->seq, 0u);
 }
 
+// The bucket array starts small, doubles as the live count grows, and
+// stops at 2x capacity rounded to a power of two; lookups, LRU order and
+// erase_flow are the same before and after each rehash.
+TEST(PacketCache, BucketsGrowWithLiveCountAcrossRehash) {
+  EXPECT_EQ(PacketCache(3).bucket_count(), 8u);  // capped below the start
+  PacketCache c(100);
+  EXPECT_EQ(c.bucket_count(), 16u);
+  for (SeqNo s = 0; s < 8; ++s) c.insert(data(1, s));
+  EXPECT_EQ(c.bucket_count(), 16u);  // at half load: no rehash yet
+  ASSERT_NE(c.lookup(1, 0), nullptr);  // (1,0) becomes most recent
+  c.insert(data(2, 0));
+  EXPECT_EQ(c.bucket_count(), 32u);
+  for (SeqNo s = 1; s < 92; ++s) c.insert(data(2, s));
+  EXPECT_EQ(c.size(), 100u);
+  EXPECT_EQ(c.bucket_count(), 256u);  // next_pow2(2 * 100)
+  for (SeqNo s = 0; s < 8; ++s) EXPECT_TRUE(c.contains(1, s)) << s;
+  for (SeqNo s = 0; s < 92; ++s) EXPECT_TRUE(c.contains(2, s)) << s;
+  // Eviction follows the LRU order set before the rehashes: (1,1)..(1,7),
+  // then the refreshed (1,0), then flow 2 oldest first.
+  for (SeqNo s = 0; s < 7; ++s) c.insert(data(3, s));
+  EXPECT_TRUE(c.contains(1, 0));
+  for (SeqNo s = 1; s < 8; ++s) EXPECT_FALSE(c.contains(1, s)) << s;
+  c.insert(data(3, 7));
+  EXPECT_FALSE(c.contains(1, 0));
+  EXPECT_TRUE(c.contains(2, 0));
+  c.insert(data(3, 8));
+  EXPECT_FALSE(c.contains(2, 0));
+  EXPECT_EQ(c.bucket_count(), 256u);
+  c.erase_flow(2);
+  EXPECT_EQ(c.size(), 9u);
+  for (SeqNo s = 0; s < 9; ++s) {
+    ASSERT_NE(c.lookup(3, s), nullptr) << s;
+    EXPECT_EQ(c.lookup(3, s)->seq, s);
+  }
+}
+
 TEST(PacketCache, CapacityOneWorks) {
   PacketCache c(1);
   c.insert(data(1, 0));

@@ -307,7 +307,66 @@ TEST(LinkStateRouting, ViewIsCapturedAtRefreshTime) {
   EXPECT_GT(stale_answers, 0u);
 }
 
-TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
+// Destination-rooted rows must give exactly the routes of source-rooted
+// rows: for every (at, dst), next_hop is the first hop of a plain BFS
+// rooted at `at` (FIFO, ascending neighbors, first-discovery parents),
+// hops is its distance, and path follows those first hops. The lattice has
+// many equal-length paths, so any other tie-break (say, the highest-id
+// closer neighbor) fails here; the split field covers unreachable pairs.
+TEST(LinkStateRouting, DestinationRowsMatchSourceRootedBfs) {
+  auto expect_source_rooted = [](const phy::Topology& topo,
+                                 const char* context) {
+    sim::Simulator sim;
+    LinkStateRouting r(sim, topo);
+    const auto n = static_cast<core::NodeId>(topo.size());
+    std::vector<PlainBfs> from;
+    for (core::NodeId s = 0; s < n; ++s) from.push_back(plain_bfs(topo, s));
+    for (core::NodeId at = 0; at < n; ++at) {
+      for (core::NodeId dst = 0; dst < n; ++dst) {
+        const PlainBfs& b = from[at];
+        const auto hops = b.dist[dst] < 0 ? std::nullopt
+                                          : std::optional<int>(b.dist[dst]);
+        const auto next = b.first[dst] == core::kInvalidNode
+                              ? std::nullopt
+                              : std::optional<core::NodeId>(b.first[dst]);
+        std::optional<std::vector<core::NodeId>> path;
+        if (hops) {
+          path.emplace(1, at);
+          while (path->back() != dst)
+            path->push_back(from[path->back()].first[dst]);
+        }
+        EXPECT_EQ(r.hops(at, dst), hops)
+            << context << ": hops(" << at << "," << dst << ")";
+        EXPECT_EQ(r.next_hop(at, dst), next)
+            << context << ": next_hop(" << at << "," << dst << ")";
+        EXPECT_EQ(r.path(at, dst), path)
+            << context << ": path(" << at << "," << dst << ")";
+      }
+    }
+    // One row per destination, however many sources asked.
+    EXPECT_EQ(r.stats().rows_built, topo.size()) << context;
+  };
+
+  // 6x6 lattice, spacing 30, range 40: no diagonals, so most pairs have
+  // several shortest paths.
+  phy::Topology lattice(36, 40.0);
+  for (core::NodeId i = 0; i < 36; ++i)
+    lattice.set_position(i, {30.0 * (i % 6), 30.0 * (i / 6)});
+  expect_source_rooted(lattice, "lattice");
+
+  sim::Rng rng(37);
+  for (int f = 0; f < 4; ++f)
+    expect_source_rooted(random_field(40, 180.0, rng), "random field");
+
+  // Two components: ids interleaved across a gap wider than the range.
+  phy::Topology split(30, 40.0);
+  for (core::NodeId i = 0; i < 30; ++i)
+    split.set_position(i, {(i % 2 ? 400.0 : 0.0) + rng.uniform(0.0, 90.0),
+                           rng.uniform(0.0, 90.0)});
+  expect_source_rooted(split, "split field");
+}
+
+TEST(LinkStateRouting, RowsBuildOnlyForQueriedDestinations) {
   sim::Simulator sim;
   auto topo = phy::Topology::linear(50, 30.0, 40.0);
   LinkStateRouting r(sim, topo);
@@ -316,6 +375,12 @@ TEST(LinkStateRouting, RowsBuildOnlyForQueriedSources) {
   (void)r.hops(0, 49);
   EXPECT_EQ(r.stats().rows_built, 1u);
   EXPECT_EQ(r.stats().row_reuses, 1u);
+  // Rows are keyed by destination: another source toward 49 shares the
+  // row instead of building its own.
+  EXPECT_EQ(r.next_hop(20, 49), 21u);
+  EXPECT_EQ(r.hops(20, 49), 29);
+  EXPECT_EQ(r.stats().rows_built, 1u);
+  EXPECT_EQ(r.stats().row_reuses, 3u);
   (void)r.next_hop(7, 3);
   EXPECT_EQ(r.stats().rows_built, 2u);
   // Refresh on an unchanged topology must keep every row.

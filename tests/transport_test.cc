@@ -152,6 +152,24 @@ TEST(ProtocolParity, EveryRegisteredProtoRunsTheSameSpec) {
   }
 }
 
+// A classic TDMA frame of 30 half-second slots leaves each node 1/15 pps,
+// below the JTP rate floor's 0.1 pps minimum. The floor is clamped to the
+// cap, so every transport builds and runs instead of rejecting its rate
+// bounds.
+TEST(ProtocolParity, PerNodeShareBelowRateFloorStillRuns) {
+  const auto parsed =
+      exp::parse_scenario("linear,net_size=30,mac=tdma,slot_duration=0.5");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  for (const auto proto : TransportRegistry::instance().protos()) {
+    auto spec = parsed.spec;
+    spec.proto = proto;
+    EXPECT_NO_THROW({
+      auto s = exp::build(spec);
+      s.network->run_until(60.0);
+    }) << proto_name(proto);
+  }
+}
+
 // The unified FlowHandle accessors must report exactly what the concrete
 // endpoints' own accessors report — the refactor moved the dispatch, not
 // the numbers.
