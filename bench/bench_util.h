@@ -40,6 +40,9 @@ struct Options {
   std::size_t jobs = 0;  // 0 = auto (one job per hardware thread)
   std::optional<exp::Proto> proto;  // --proto; unset = bench default
   std::string scenario;  // --scenario tokens (validated at parse time)
+  // The keys --scenario's key=value tokens name, in order (a leading
+  // preset token names none).
+  std::vector<std::string> scenario_keys;
 
   std::size_t pick_runs(std::size_t quick, std::size_t paper) const {
     if (runs) return *runs;
@@ -77,22 +80,27 @@ inline std::string scenario_error(const std::string& err) {
   return "--scenario: " + (has ? err.substr(prefix.size()) : err);
 }
 
-inline const char* usage_text() {
-  return
+inline std::string usage_text() {
+  std::string s =
       "  --full            paper-scale durations and seed counts (slower)\n"
       "  --seed N          base seed (default 1)\n"
       "  --runs N          override the number of independent runs\n"
       "  --jobs N          run seeds on N threads (default: hw threads)\n"
       "  --csv PATH        also write the result series to CSV file(s);\n"
       "                    multi-table benches derive PATH.<section>.csv\n"
-      "  --proto NAME      protocol override: jtp, jnc, tcp, atp, jtp_ff, jtp_dr or bbr\n"
-      "  --scenario SPEC   comma-separated key=value scenario overrides\n"
-      "                    (first token may name a preset: linear, random,\n"
-      "                    mobile, testbed, scale, scale_mobile), e.g.\n"
-      "                    --scenario 'net_size=12,loss_good=0.1' or\n"
-      "                    --scenario 'mac=tdma_reuse' (tdma, tdma_reuse,\n"
-      "                    csma)\n"
-      "  --help            show this message\n";
+      "  --proto NAME      protocol override, one of:\n"
+      "                    ";
+  s += exp::join_names(exp::proto_names());
+  s += "\n"
+       "  --scenario SPEC   comma-separated key=value scenario overrides,\n"
+       "                    e.g. 'net_size=12,loss_good=0.1'; the first\n"
+       "                    token may name a preset, one of:\n"
+       "                    ";
+  s += exp::join_names(exp::preset_names());
+  s += "\n                    mac= takes one of: ";
+  s += exp::join_names(exp::mac_names());
+  s += "\n  --help            show this message\n";
+  return s;
 }
 
 inline ParseResult parse_args(int argc, char** argv) {
@@ -155,7 +163,7 @@ inline ParseResult parse_args(int argc, char** argv) {
       const auto p = core::parse_proto(argv[++i]);
       if (!p) {
         r.error = std::string("--proto: unknown protocol '") + argv[i] +
-                  "' (known: jtp, jnc, tcp, atp, jtp_ff, jtp_dr, bbr)";
+                  "' (known: " + exp::join_names(exp::proto_names()) + ")";
         return r;
       }
       r.options.proto = *p;
@@ -168,8 +176,9 @@ inline ParseResult parse_args(int argc, char** argv) {
       // Validate now (against a scratch spec) so a typo fails before any
       // simulation time is spent; benches re-apply onto their own base.
       exp::ScenarioSpec scratch;
-      const auto err = exp::apply_scenario_tokens(scratch,
-                                                  r.options.scenario);
+      r.options.scenario_keys.clear();
+      const auto err = exp::apply_scenario_tokens(
+          scratch, r.options.scenario, &r.options.scenario_keys);
       if (!err.empty()) {
         r.error = scenario_error(err);
         return r;
@@ -198,12 +207,12 @@ inline ParseResult parse_args(int argc, char** argv) {
 inline Options parse_options(int argc, char** argv) {
   const auto r = parse_args(argc, argv);
   if (r.help) {
-    std::printf("usage: %s [options]\n%s", argv[0], usage_text());
+    std::printf("usage: %s [options]\n%s", argv[0], usage_text().c_str());
     std::exit(0);
   }
   if (!r.ok()) {
     std::fprintf(stderr, "error: %s\nusage: %s [options]\n%s",
-                 r.error.c_str(), argv[0], usage_text());
+                 r.error.c_str(), argv[0], usage_text().c_str());
     std::exit(2);
   }
   return r.options;
@@ -276,14 +285,16 @@ inline void apply_scenario(const Options& opt, exp::ScenarioSpec& spec) {
   spec = std::move(updated);
 }
 
-// Sweep collapse: when --scenario overrides a field the bench sweeps
-// (e.g. net_size in fig09), the sweep honors the override by collapsing
-// to that single point — an accepted key must never be silently
-// clobbered by the bench's own loop.
+// Sweep collapse: when a --scenario token names the key of a field the
+// bench sweeps (e.g. net_size in fig09), the sweep collapses to that
+// field's value — an accepted key must never be silently clobbered by
+// the bench's own loop, even when its value equals the bench default.
+// A preset token alone names no key and keeps the sweep.
 template <typename T>
-std::vector<T> sweep_or(const T& value, const T& base_default,
-                        std::vector<T> sweep) {
-  if (!(value == base_default)) return {value};
+std::vector<T> sweep_or(const Options& opt, const std::string& key,
+                        const T& value, std::vector<T> sweep) {
+  for (const auto& k : opt.scenario_keys)
+    if (k == key) return {value};
   return sweep;
 }
 

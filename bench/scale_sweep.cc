@@ -135,17 +135,16 @@ int main(int argc, char** argv) {
   const std::size_t n_runs = opt.pick_runs(1, 3);
   const double duration = opt.pick_duration(60.0, 300.0);
 
-  const auto defaults = exp::preset("scale");
-  auto base = defaults;
+  auto base = exp::preset("scale");
   bench::apply_scenario(opt, base);
   base.proto = opt.proto_or(base.proto);
   const auto sizes = bench::sweep_or<std::size_t>(
-      base.net_size, defaults.net_size,
+      opt, "net_size", base.net_size,
       opt.full ? std::vector<std::size_t>{100, 400, 1000}
                : std::vector<std::size_t>{100, 400});
   bench::validate_sizes(base, sizes);
   const auto macs = bench::sweep_or<mac::Mac>(
-      base.mac, defaults.mac,
+      opt, "mac", base.mac,
       {mac::Mac::kTdma, mac::Mac::kTdmaReuse, mac::Mac::kCsma});
 
   std::printf("=== Scale sweep: cost vs network size, per MAC ===\n");

@@ -53,7 +53,7 @@ struct BbrConfig {
 
   double initial_rate_pps = 1.0;
   double min_rate_pps = 0.1;
-  double max_rate_pps = 50.0;  // pacing ceiling (factory: 4 × capacity)
+  double max_rate_pps = 50.0;  // pacing ceiling (make_endpoints: 4 × capacity)
   double initial_rtt_s = 2.0;  // prior until the first RTT sample
   double rto_min_s = 1.0;
   std::uint64_t window_cap_packets = 4000;

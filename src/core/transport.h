@@ -6,7 +6,7 @@
 // sent, source retransmissions, ACKs sent). Everything above the endpoints
 // (Network wiring, FlowManager, metrics, benches) talks only to this
 // interface; which concrete protocol sits behind a flow is decided once,
-// at attachment time, through the net::TransportRegistry.
+// at attachment time, by the switch in net::make_endpoints.
 //
 // Hot-path note: on_data/on_ack become virtual calls here. They were
 // already dispatched through std::function handlers per packet, so the
@@ -14,6 +14,8 @@
 // (BM_TransportOnData{Direct,Virtual}).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -30,10 +32,8 @@ namespace jtp::core {
 //   kJnc — JTP with in-network caching disabled (Fig. 4);
 //   kTcp — rate-based TCP-SACK;
 //   kAtp — ATP-like explicit-rate protocol;
-//   kJtpFf — JTP with constant-rate ("fixed feedback") ACKing. Born as
-//            the test-local proof that the registry seam is zero-edit;
-//            now a permanent registrant (an ablation of the adaptive
-//            feedback clock, paper §5.1).
+//   kJtpFf — JTP with constant-rate ("fixed feedback") ACKing: an
+//            ablation of the adaptive feedback clock (paper §5.1).
 //   kJtpDr — JTP whose PI²/MD available-rate input Ā is the sender-side
 //            delivery-rate estimate (core/rate_sample.h) instead of the
 //            path's per-hop idle-rate stamps (core/jtp_dr.h).
@@ -42,11 +42,21 @@ namespace jtp::core {
 enum class Proto : std::uint8_t { kJtp, kJnc, kTcp, kAtp, kJtpFf, kJtpDr,
                                   kBbr };
 
+// Every protocol, in enum order (kBbr is the last enumerator).
+constexpr std::array<Proto, 7> all_protos() {
+  return {Proto::kJtp,   Proto::kJnc,   Proto::kTcp, Proto::kAtp,
+          Proto::kJtpFf, Proto::kJtpDr, Proto::kBbr};
+}
+static_assert(all_protos().size() ==
+                  static_cast<std::size_t>(Proto::kBbr) + 1,
+              "all_protos() must list every Proto");
+
 // Canonical lowercase CLI name ("jtp", "jnc", "tcp", "atp", "jtp_ff",
 // "jtp_dr", "bbr").
 std::string proto_name(Proto p);
 
-// Inverse of proto_name; nullopt on an unknown name.
+// Inverse of proto_name (plus the legacy "jtp-ff"/"jtp-dr" spellings);
+// nullopt on an unknown name.
 std::optional<Proto> parse_proto(std::string_view name);
 
 // Source side: paces data packets and reacts to ACKs.

@@ -133,13 +133,36 @@ ScenarioSpec preset(const std::string& name) {
     s.speed_mps = 1.0;
     return s;
   }
-  throw std::invalid_argument(
-      "unknown scenario preset '" + name +
-      "' (known: linear, random, mobile, testbed, scale, scale_mobile)");
+  throw std::invalid_argument("unknown scenario preset '" + name +
+                              "' (known: " + join_names(preset_names()) +
+                              ")");
 }
 
 std::vector<std::string> preset_names() {
   return {"linear", "random", "mobile", "testbed", "scale", "scale_mobile"};
+}
+
+std::vector<std::string> proto_names() {
+  std::vector<std::string> out;
+  for (const Proto p : core::all_protos()) out.push_back(proto_name(p));
+  return out;
+}
+
+std::vector<std::string> mac_names() {
+  // kExt, the last enumerator, is the experiment slot; parse_mac rejects
+  // its name, so the round trip keeps it off the list.
+  std::vector<std::string> out;
+  for (int v = 0; v <= static_cast<int>(mac::Mac::kExt); ++v) {
+    const auto m = static_cast<mac::Mac>(v);
+    if (mac::parse_mac(mac::mac_name(m)) == m) out.push_back(mac::mac_name(m));
+  }
+  return out;
+}
+
+std::string join_names(const std::vector<std::string>& names) {
+  std::string out;
+  for (const auto& n : names) out += (out.empty() ? "" : ", ") + n;
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +211,7 @@ bool parse_bool(const std::string& v, bool& out) {
 }
 
 std::string bad_value(const std::string& key, const std::string& value,
-                      const char* expected) {
+                      const std::string& expected) {
   return "scenario: " + key + ": '" + value + "' is not " + expected;
 }
 
@@ -239,7 +262,9 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
                       "a probability in [0, 1]");
   if (key == "proto") {
     const auto p = parse_proto(value);
-    if (!p) return bad_value(key, value, "a protocol (jtp, jnc, tcp, atp, jtp_ff, jtp_dr, bbr)");
+    if (!p)
+      return bad_value(key, value,
+                       "a protocol (" + join_names(proto_names()) + ")");
     spec.proto = *p;
     return "";
   }
@@ -260,7 +285,8 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
   }
   if (key == "mac") {
     const auto m = mac::parse_mac(value);
-    if (!m) return bad_value(key, value, "a MAC (tdma, tdma_reuse, csma)");
+    if (!m)
+      return bad_value(key, value, "a MAC (" + join_names(mac_names()) + ")");
     spec.mac = *m;
     return "";
   }
@@ -365,8 +391,8 @@ std::string validate_spec(const ScenarioSpec& s) {
   return "";
 }
 
-std::string apply_scenario_tokens(ScenarioSpec& spec,
-                                  const std::string& text) {
+std::string apply_scenario_tokens(ScenarioSpec& spec, const std::string& text,
+                                  std::vector<std::string>* keys) {
   std::size_t pos = 0;
   bool first = true;
   while (pos <= text.size()) {
@@ -395,6 +421,7 @@ std::string apply_scenario_tokens(ScenarioSpec& spec,
       if (key.empty()) return "scenario: empty key in '" + token + "'";
       const auto err = apply_pair(spec, key, value);
       if (!err.empty()) return err;
+      if (keys) keys->push_back(key);
     }
     first = false;
   }
@@ -481,8 +508,7 @@ net::NetworkConfig make_network_config(const ScenarioSpec& spec) {
   cfg.mac.csma.max_backoffs = static_cast<int>(spec.csma_max_backoffs);
   cfg.routing.refresh_interval_s = spec.routing_refresh_s;
   cfg.node.ijtp.cache_capacity_packets = spec.cache_size_packets;
-  cfg.node.ijtp.caching_enabled =
-      net::TransportRegistry::instance().caching_enabled(spec.proto);
+  cfg.node.ijtp.caching_enabled = net::caching_enabled(spec.proto);
   return cfg;
 }
 

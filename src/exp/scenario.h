@@ -110,6 +110,15 @@ inline bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) {
 ScenarioSpec preset(const std::string& name);
 std::vector<std::string> preset_names();
 
+// The other two name lists the spec language and the bench flags accept,
+// in enum order: every protocol (proto=, --proto) and every CLI-parseable
+// MAC (mac=).
+std::vector<std::string> proto_names();
+std::vector<std::string> mac_names();
+
+// "a, b, c": how errors and --help print a name list.
+std::string join_names(const std::vector<std::string>& names);
+
 // --- the key=value spec language -----------------------------------------
 //
 // A spec string is a comma-separated token list. The first token may be a
@@ -130,9 +139,11 @@ std::vector<std::string> preset_names();
 
 // Applies tokens onto `spec` in order. Returns "" on success or a
 // human-readable error (unknown key, malformed value, out-of-range);
-// `spec` may be partially updated on error.
-std::string apply_scenario_tokens(ScenarioSpec& spec,
-                                  const std::string& text);
+// `spec` may be partially updated on error. When `keys` is given, the
+// key of every key=value token applied is appended to it (a bare preset
+// token names none).
+std::string apply_scenario_tokens(ScenarioSpec& spec, const std::string& text,
+                                  std::vector<std::string>* keys = nullptr);
 
 // Cross-key validation alone, for a spec assembled in code (e.g. one
 // sweep point of a bench). Returns "" when valid, else the same message a
@@ -162,8 +173,8 @@ inline constexpr double kRangeM = 40.0;
 // Field side for a random scenario of n nodes.
 double random_field_side_m(std::size_t n);
 
-// The NetworkConfig a spec implies (caching on/off follows the proto's
-// TransportRegistry entry). Exposed for benches that need to tweak
+// The NetworkConfig a spec implies (caching on/off follows
+// net::caching_enabled(proto)). Exposed for benches that need to tweak
 // network knobs the spec does not cover before constructing the Network
 // themselves.
 net::NetworkConfig make_network_config(const ScenarioSpec& spec);

@@ -72,22 +72,16 @@ FlowHandle Network::add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                              const FlowOptions& opt) {
   if (src >= size() || dst >= size())
     throw std::invalid_argument("add_flow: endpoint out of range");
-  const TransportInfo& info = TransportRegistry::instance().info(proto);
-
-  // Path facts for the factory's defaults: the MAC's per-node share,
+  // Path facts for the endpoints' defaults: the MAC's per-node share,
   // current hop count, and a pessimistic (with-retries) RTT estimate.
   PathInfo path;
   path.node_capacity_pps = fabric_->node_capacity_pps();
   path.hops = routing_.hops(src, dst).value_or(1);
   path.rtt_estimate_s = 2.0 * path.hops * fabric_->frame_duration_s() * 1.5;
 
-  const core::FlowId flow = allocate_flow(info.hop_policy);
-  TransportEndpoints eps = info.factory->make(*this, flow, src, dst, opt,
-                                              path);
-  if (!eps.sender || !eps.receiver)
-    throw std::logic_error("add_flow: factory for '" +
-                           core::proto_name(proto) +
-                           "' returned an incomplete endpoint pair");
+  const core::FlowId flow = allocate_flow(hop_policy(proto));
+  TransportEndpoints eps =
+      make_endpoints(proto, *this, flow, src, dst, opt, path);
   auto* snd = eps.sender.get();
   auto* rcv = eps.receiver.get();
   senders_.push_back(std::move(eps.sender));

@@ -4,11 +4,11 @@
 // model, MAC fabric, routing service, one Node per vertex, and the
 // transport endpoints attached to nodes. Flows attach through one
 // polymorphic entry point — add_flow(proto, src, dst, opts) — which
-// resolves the protocol in the TransportRegistry; the link layer is
-// resolved the same way, through the MacRegistry keyed by
-// NetworkConfig::mac_kind. The Network itself knows no protocol or MAC
-// names. This is the "adaptation layer" through which experiments and
-// examples use the library.
+// builds the protocol's endpoints through net::make_endpoints (one switch
+// over core::Proto, net/transport.h); the link layer is resolved through
+// the MacRegistry keyed by NetworkConfig::mac_kind. The Network itself
+// knows no protocol or MAC names. This is the "adaptation layer" through
+// which experiments and examples use the library.
 //
 // Event keys (see sim/simulator.h): flow start-up events execute as their
 // endpoint node (owner id + 1), and every MAC delivery executes as its
@@ -58,11 +58,10 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // --- flow attachment (endpoints are owned by the network) ---
-  // Builds the proto's endpoint pair through the TransportRegistry, wires
-  // it to the src/dst nodes, and returns the uniform handle. The flow is
-  // idle until start() is invoked on it (FlowManager does the
-  // scheduling). Throws std::invalid_argument on out-of-range endpoints
-  // or an unregistered protocol.
+  // Builds the proto's endpoint pair through make_endpoints, wires it to
+  // the src/dst nodes, and returns the uniform handle. The flow is idle
+  // until start() is invoked on it (FlowManager does the scheduling).
+  // Throws std::invalid_argument on out-of-range endpoints.
   FlowHandle add_flow(Proto proto, core::NodeId src, core::NodeId dst,
                       const FlowOptions& opt = {});
 

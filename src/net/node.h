@@ -24,10 +24,9 @@
 namespace jtp::net {
 
 // The in-network half of a transport: how intermediate hops treat a
-// flow's packets. This is a small closed set of per-hop behaviours — an
-// open-ended set of end-to-end protocols (see net::TransportRegistry)
-// picks from it at registration time, so a new protocol needs no edits
-// here.
+// flow's packets. This is a small closed set of per-hop behaviours; each
+// end-to-end protocol picks one (net::hop_policy, net/transport.h), so a
+// new protocol needs no edits here.
 enum class HopPolicy : std::uint8_t {
   kIjtp,       // Algorithms 1-2: attempt control, caching, SNACK service
   kRateStamp,  // ATP-style available-rate stamping, fixed attempts

@@ -124,9 +124,40 @@ TEST(ParseArgs, ScenarioFlagRejectsProtoAndSeedKeys) {
 
 TEST(SweepOr, CollapsesOnlyWhenOverridden) {
   const std::vector<std::size_t> sweep{2, 4, 8};
-  EXPECT_EQ(sweep_or<std::size_t>(5, 5, sweep), sweep);  // untouched
-  EXPECT_EQ(sweep_or<std::size_t>(12, 5, sweep),
+  EXPECT_EQ(sweep_or<std::size_t>(Options{}, "net_size", 5, sweep),
+            sweep);  // untouched
+  const auto r = parse({"--scenario", "loss_good=0.1, net_size = 12"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.options.scenario_keys,
+            (std::vector<std::string>{"loss_good", "net_size"}));
+  EXPECT_EQ(sweep_or<std::size_t>(r.options, "net_size", 12, sweep),
             std::vector<std::size_t>{12});  // override wins
+  EXPECT_EQ(sweep_or<std::size_t>(r.options, "cache_size", 5, sweep), sweep);
+}
+
+const std::vector<mac::Mac> kAllMacs{mac::Mac::kTdma, mac::Mac::kTdmaReuse,
+                                     mac::Mac::kCsma};
+
+// A key the user names collapses the sweep even when its value equals
+// the base spec's (tdma is the scale presets' MAC).
+TEST(SweepOr, ExplicitKeyEqualToTheDefaultCollapses) {
+  const auto r = parse({"--scenario", "scale_mobile,net_size=200,mac=tdma"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  auto base = exp::preset("scale");
+  apply_scenario(r.options, base);
+  EXPECT_EQ(sweep_or<mac::Mac>(r.options, "mac", base.mac, kAllMacs),
+            std::vector<mac::Mac>{mac::Mac::kTdma});
+}
+
+// A preset token alone names no key: the bench keeps its full sweep.
+TEST(SweepOr, PresetAloneKeepsTheSweep) {
+  const auto r = parse({"--scenario", "scale_mobile"});
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_TRUE(r.options.scenario_keys.empty());
+  auto base = exp::preset("scale");
+  apply_scenario(r.options, base);
+  EXPECT_EQ(sweep_or<mac::Mac>(r.options, "mac", base.mac, kAllMacs),
+            kAllMacs);
 }
 
 // A workload valid at the base net_size but unhostable at a smaller

@@ -1,10 +1,11 @@
 // Tests for the polymorphic transport layer: the Proto enum helpers, the
-// TransportRegistry, Network::add_flow's unified FlowHandle, and the
-// protocol-parity contract — every registered transport runs the same
-// ScenarioSpec, and the unified accessors report exactly what the
-// concrete endpoints' own (pre-refactor) accessors report.
+// per-protocol hop policy and caching switches, Network::add_flow's
+// unified FlowHandle, and the protocol-parity contract — every transport
+// runs the same ScenarioSpec, and the unified accessors report exactly
+// what the concrete endpoints' own (pre-refactor) accessors report.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "baselines/atp.h"
@@ -26,57 +27,46 @@ using core::parse_proto;
 using core::Proto;
 using core::proto_name;
 using net::HopPolicy;
-using net::TransportRegistry;
 
 TEST(Proto, NamesRoundTrip) {
-  for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpFf, Proto::kJtpDr, Proto::kBbr}) {
+  for (auto p : core::all_protos()) {
     const auto back = parse_proto(proto_name(p));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, p);
   }
-  // Legacy spelling from the variant's test-local era stays parseable.
+  // Legacy spellings stay parseable.
   EXPECT_EQ(parse_proto("jtp-ff"), Proto::kJtpFf);
+  EXPECT_EQ(parse_proto("jtp-dr"), Proto::kJtpDr);
   EXPECT_FALSE(parse_proto("").has_value());
   EXPECT_FALSE(parse_proto("JTP").has_value());  // names are lowercase
   EXPECT_FALSE(parse_proto("udp").has_value());
 }
 
+// The closed protocol set: all_protos() lists every enumerator once, in
+// enum order, each with its own name.
 TEST(Registry, BuiltinsAreRegistered) {
-  auto& reg = TransportRegistry::instance();
-  for (auto p : {Proto::kJtp, Proto::kJnc, Proto::kTcp, Proto::kAtp,
-                 Proto::kJtpFf, Proto::kJtpDr, Proto::kBbr})
-    EXPECT_TRUE(reg.registered(p)) << proto_name(p);
-  EXPECT_GE(reg.protos().size(), 7u);
+  std::set<std::string> names;
+  int expected = 0;
+  for (const auto p : core::all_protos()) {
+    EXPECT_EQ(static_cast<int>(p), expected++);
+    EXPECT_TRUE(names.insert(proto_name(p)).second) << proto_name(p);
+  }
+  EXPECT_EQ(names.size(), 7u);
 }
 
 TEST(Registry, HopPoliciesAndCachingMatchTheProtocols) {
-  auto& reg = TransportRegistry::instance();
-  EXPECT_EQ(reg.info(Proto::kJtp).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kJnc).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kTcp).hop_policy, HopPolicy::kPlain);
-  EXPECT_EQ(reg.info(Proto::kAtp).hop_policy, HopPolicy::kRateStamp);
+  EXPECT_EQ(net::hop_policy(Proto::kJtp), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kJnc), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kTcp), HopPolicy::kPlain);
+  EXPECT_EQ(net::hop_policy(Proto::kAtp), HopPolicy::kRateStamp);
   // The JTP variants keep full in-network help; BBR rides the plain
   // TCP-style path.
-  EXPECT_EQ(reg.info(Proto::kJtpFf).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kJtpDr).hop_policy, HopPolicy::kIjtp);
-  EXPECT_EQ(reg.info(Proto::kBbr).hop_policy, HopPolicy::kPlain);
-  EXPECT_TRUE(reg.caching_enabled(Proto::kJtp));
-  EXPECT_FALSE(reg.caching_enabled(Proto::kJnc));
-  EXPECT_TRUE(reg.caching_enabled(Proto::kJtpDr));
-}
-
-TEST(Registry, DuplicateRegistrationThrows) {
-  auto& reg = TransportRegistry::instance();
-  net::TransportInfo dup = reg.info(Proto::kJtp);
-  EXPECT_THROW(reg.add(std::move(dup)), std::invalid_argument);
-}
-
-TEST(Registry, NullFactoryThrows) {
-  net::TransportInfo bad;
-  bad.factory = nullptr;
-  EXPECT_THROW(TransportRegistry::instance().add(std::move(bad)),
-               std::invalid_argument);
+  EXPECT_EQ(net::hop_policy(Proto::kJtpFf), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kJtpDr), HopPolicy::kIjtp);
+  EXPECT_EQ(net::hop_policy(Proto::kBbr), HopPolicy::kPlain);
+  // Only JNC runs without in-network caching.
+  for (const auto p : core::all_protos())
+    EXPECT_EQ(net::caching_enabled(p), p != Proto::kJnc) << proto_name(p);
 }
 
 TEST(FlowTable, DefaultsToIjtpPolicy) {
@@ -120,7 +110,7 @@ TEST(AddFlow, HandleCarriesIdentityAndEndpoints) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol parity: one ScenarioSpec, every registered transport.
+// Protocol parity: one ScenarioSpec, every transport.
 // ---------------------------------------------------------------------------
 
 exp::ScenarioSpec parity_spec(Proto proto) {
@@ -140,7 +130,7 @@ exp::ScenarioSpec parity_spec(Proto proto) {
 }
 
 TEST(ProtocolParity, EveryRegisteredProtoRunsTheSameSpec) {
-  for (const auto proto : TransportRegistry::instance().protos()) {
+  for (const auto proto : core::all_protos()) {
     auto s = exp::build(parity_spec(proto));
     s.network->run_until(1500.0);
     const auto& flow = *s.flows->flows().front();
@@ -160,7 +150,7 @@ TEST(ProtocolParity, PerNodeShareBelowRateFloorStillRuns) {
   const auto parsed =
       exp::parse_scenario("linear,net_size=30,mac=tdma,slot_duration=0.5");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  for (const auto proto : TransportRegistry::instance().protos()) {
+  for (const auto proto : core::all_protos()) {
     auto spec = parsed.spec;
     spec.proto = proto;
     EXPECT_NO_THROW({
@@ -217,7 +207,7 @@ TEST(ProtocolParity, AtpHandleMatchesConcreteAccessors) {
 // Pinned-seed determinism through the new dispatch path: two identical
 // builds produce bit-identical metrics for every protocol.
 TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
-  for (const auto proto : TransportRegistry::instance().protos()) {
+  for (const auto proto : core::all_protos()) {
     auto run = [&] {
       auto s = exp::build(parity_spec(proto));
       s.network->run_until(1500.0);
@@ -235,25 +225,20 @@ TEST(ProtocolParity, PinnedSeedIsBitStableForEveryProto) {
   }
 }
 
-// --- the extension seam -----------------------------------------------------
+// --- the protocols beyond the paper's four ----------------------------------
 //
-// ROADMAP: "register an experimental protocol variant through the
-// registry to prove the extension seam". That proof has since been
-// promoted into the production registry three times over: kJtpFf (JTP
-// with constant-rate "fixed feedback" ACKing), kJtpDr (JTP's PI²/MD fed
-// by a sender-side delivery-rate estimate) and kBbr (model-based pacing
-// over the TCP-SACK feedback channel) each became a first-class
-// protocol through exactly one TransportRegistry::add() call in the
-// registry's own constructor — no edits to Network, Node, FlowManager,
-// or any existing factory. The tests below pin down that each variant
-// really is reachable through the same ScenarioSpec -> build() ->
+// kJtpFf (JTP with constant-rate "fixed feedback" ACKing), kJtpDr (JTP's
+// PI²/MD fed by a sender-side delivery-rate estimate) and kBbr
+// (model-based pacing over the TCP-SACK feedback channel) each joined
+// the stack as one enum value plus one case in net::make_endpoints,
+// net::hop_policy and, where it differs, net::caching_enabled — no edits
+// to Network, Node or FlowManager. The tests below pin down that each
+// variant is reachable through the same ScenarioSpec -> build() ->
 // Network::add_flow entry points as the original four, and that the
 // endpoints behind the unified FlowHandle are the expected concrete
 // types with the expected behavior.
 
 TEST(ExtensionSeam, FixedFeedbackVariantIsABuiltin) {
-  ASSERT_TRUE(TransportRegistry::instance().registered(Proto::kJtpFf));
-
   auto s = exp::build(parity_spec(Proto::kJtpFf));
   s.network->run_until(1500.0);
   const auto& flow = *s.flows->flows().front();
