@@ -97,6 +97,10 @@ inline std::string usage_text() {
        "                    token may name a preset, one of:\n"
        "                    ";
   s += exp::join_names(exp::preset_names());
+  s += "\n                    topology= takes one of: ";
+  s += exp::join_names(exp::topology_names());
+  s += "\n                    workload= takes one of: ";
+  s += exp::join_names(exp::workload_names());
   s += "\n                    mac= takes one of: ";
   s += exp::join_names(exp::mac_names());
   s += "\n  --help            show this message\n";

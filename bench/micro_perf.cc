@@ -248,9 +248,11 @@ BENCHMARK(BM_BbrStateMachine);
 // (paper, n=25) and production (n=400; routing also at the scale_mobile
 // workloads' n=1000) scales. BM_RoutingRefresh models
 // the steady-state control-plane work of a mobile scenario: one node
-// moves, the view refreshes, and the handful of sources with live flows
-// look up their next hops toward one sink, which share one destination
-// row (one BFS per iteration).
+// moves (up to 1 m per axis), the view refreshes, and the handful of
+// sources with live flows look up their next hops toward one sink, which
+// share one destination row. The refresh re-queries the mover's
+// neighbor list; only a move that makes or breaks a link re-captures the
+// view and costs the row's BFS.
 // ---------------------------------------------------------------------------
 
 phy::Topology scale_field(std::size_t n, sim::Rng& rng) {
@@ -340,9 +342,9 @@ void BM_TdmaNextOwnedSlot(benchmark::State& state) {
 BENCHMARK(BM_TdmaNextOwnedSlot)->Arg(8)->Arg(25);
 
 // One full greedy 2-hop coloring of a connected random field: what the
-// spatial-reuse MAC pays at construction and when the topology's move
-// ring overflows between syncs. Per-node neighbor lists keep it
-// O(n · degree²).
+// spatial-reuse MAC pays at construction. The topology's neighbor index
+// is synced on the first iteration and reused after, so this times the
+// greedy pass over its lists, O(n · degree²).
 void BM_InterferenceColoring(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(7);
@@ -361,8 +363,8 @@ BENCHMARK(BM_InterferenceColoring)
 
 // The per-generation recolor under waypoint churn: one node steps 1 m
 // (alternating direction, so it oscillates in place), then the persistent
-// colorer syncs — one neighbor-list re-query, and greedy re-runs only if
-// a link changed.
+// colorer syncs — the topology's index re-queries one neighbor list, and
+// greedy re-runs only if a link changed.
 void BM_InterferenceRecolorSmallMove(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   sim::Rng rng(7);

@@ -142,6 +142,20 @@ std::vector<std::string> preset_names() {
   return {"linear", "random", "mobile", "testbed", "scale", "scale_mobile"};
 }
 
+// Every named enumerator in enum order: enumerators count up from 0 and
+// the name functions print "?" past the last.
+template <typename Kind>
+static std::vector<std::string> kind_names(std::string (*name)(Kind)) {
+  std::vector<std::string> out;
+  for (int v = 0; name(static_cast<Kind>(v)) != "?"; ++v)
+    out.push_back(name(static_cast<Kind>(v)));
+  return out;
+}
+
+std::vector<std::string> topology_names() { return kind_names(topology_name); }
+
+std::vector<std::string> workload_names() { return kind_names(workload_name); }
+
 std::vector<std::string> proto_names() {
   std::vector<std::string> out;
   for (const Proto p : core::all_protos()) out.push_back(proto_name(p));
@@ -235,13 +249,12 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
   };
 
   if (key == "topology") {
-    for (auto k : {TopologyKind::kLinear, TopologyKind::kRandom,
-                   TopologyKind::kGrid})
-      if (value == topology_name(k)) {
-        spec.topology = k;
-        return "";
-      }
-    return bad_value(key, value, "a topology (linear, random, grid)");
+    const auto names = topology_names();
+    const auto it = std::find(names.begin(), names.end(), value);
+    if (it == names.end())
+      return bad_value(key, value, "a topology (" + join_names(names) + ")");
+    spec.topology = static_cast<TopologyKind>(it - names.begin());
+    return "";
   }
   if (key == "net_size") return set_size(spec.net_size, 2, "an integer >= 2");
   if (key == "grid_cols")
@@ -313,16 +326,12 @@ std::string apply_pair(ScenarioSpec& spec, const std::string& key,
     return "";
   }
   if (key == "workload") {
-    for (auto k : {WorkloadKind::kManual, WorkloadKind::kEnds,
-                   WorkloadKind::kRandomPairs, WorkloadKind::kPoisson,
-                   WorkloadKind::kOnOff, WorkloadKind::kFanIn})
-      if (value == workload_name(k)) {
-        spec.workload.kind = k;
-        return "";
-      }
-    return bad_value(key, value,
-                     "a workload (manual, ends, random_pairs, poisson, "
-                     "on_off, fan_in)");
+    const auto names = workload_names();
+    const auto it = std::find(names.begin(), names.end(), value);
+    if (it == names.end())
+      return bad_value(key, value, "a workload (" + join_names(names) + ")");
+    spec.workload.kind = static_cast<WorkloadKind>(it - names.begin());
+    return "";
   }
   if (key == "flows")
     return set_size(spec.workload.n_flows, 1, "an integer >= 1");

@@ -110,9 +110,11 @@ inline bool operator!=(const ScenarioSpec& a, const ScenarioSpec& b) {
 ScenarioSpec preset(const std::string& name);
 std::vector<std::string> preset_names();
 
-// The other two name lists the spec language and the bench flags accept,
-// in enum order: every protocol (proto=, --proto) and every CLI-parseable
-// MAC (mac=).
+// The other name lists the spec language and the bench flags accept, in
+// enum order: every topology (topology=), workload (workload=), protocol
+// (proto=, --proto) and CLI-parseable MAC (mac=).
+std::vector<std::string> topology_names();
+std::vector<std::string> workload_names();
 std::vector<std::string> proto_names();
 std::vector<std::string> mac_names();
 

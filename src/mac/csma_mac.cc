@@ -89,12 +89,12 @@ void CsmaMac::start_backoff() {
 }
 
 void CsmaMac::attempt_transmit() {
-  TxRing* qp = current_queue();
+  TxQueue* qp = current_queue();
   if (qp == nullptr) {  // head consumed by a drop path mid-cycle
     busy_ = false;
     return;
   }
-  TxRing& q = *qp;
+  TxQueue& q = *qp;
 
   if (medium_.busy(self_, sim_.now())) {
     ++cca_failures_;
@@ -161,7 +161,7 @@ void CsmaMac::attempt_transmit() {
   });
 }
 
-void CsmaMac::finish_tx(TxRing* q, CsmaMedium::TxId txid, bool lost_ch) {
+void CsmaMac::finish_tx(TxQueue* q, CsmaMedium::TxId txid, bool lost_ch) {
   const bool collided = medium_.finish_tx(txid);
   Entry& e = q->front();
   const bool lost = lost_ch || collided;

@@ -114,7 +114,7 @@ class CsmaMac final : public MacBase {
  private:
   void start_backoff();
   void attempt_transmit();
-  void finish_tx(TxRing* q, CsmaMedium::TxId txid, bool lost_ch);
+  void finish_tx(TxQueue* q, CsmaMedium::TxId txid, bool lost_ch);
   void next_cycle();
 
   CsmaMedium& medium_;

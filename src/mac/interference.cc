@@ -8,95 +8,39 @@ namespace jtp::mac {
 InterferenceColorer::InterferenceColorer(const phy::Topology& topo,
                                          double range_margin)
     : topo_(topo),
-      range_(topo.radio_range()),
+      links_(topo.links()),
       direct_(std::max(range_margin, 1.0) * topo.radio_range()),
-      wide_(direct_ > range_) {
-  rebuild_all();
-  synced_gen_ = topo_.generation();
-  replay();
-}
-
-std::size_t InterferenceColorer::sync() {
-  if (!topo_.moved_since(synced_gen_, movers_)) {
-    rebuild_all();
-  } else {
-    touched_.clear();
-    for (const core::NodeId m : movers_) refresh(m);
-    // A changed link (a, b) can change the conflict relation between a or
-    // b and any current neighbor of the other end (b is their witness), and
-    // between a and b themselves: seed both ends and both neighborhoods.
-    std::sort(touched_.begin(), touched_.end());
-    touched_.erase(std::unique(touched_.begin(), touched_.end()),
-                   touched_.end());
-    for (const core::NodeId t : touched_) {
-      seed(t);
-      for (const core::NodeId u : links_[t]) seed(u);
-    }
-  }
-  synced_gen_ = topo_.generation();
-  return replay();
-}
-
-void InterferenceColorer::refresh(core::NodeId id) {
-  topo_.within_into(id, range_, fresh_);
-  patch(links_, id, [&](core::NodeId x) {
-    touched_.push_back(id);
-    touched_.push_back(x);
-  });
-  if (!wide_) return;
-  // A margin·R pair only decides its own conflict: seed the two ends.
-  topo_.within_into(id, direct_, fresh_);
-  patch(direct_lists_, id, [&](core::NodeId x) {
-    seed(id);
-    seed(x);
-  });
-}
-
-template <typename OnChange>
-void InterferenceColorer::patch(std::vector<List>& lists, core::NodeId id,
-                                OnChange&& on_change) {
-  // Merge of two ascending lists. Entries are patched into the partner's
-  // list too, so when the partner is itself a mover its own refresh sees
-  // the pair already consistent and reports it only once.
-  List& old = lists[id];
-  std::size_t i = 0, j = 0;
-  while (i < old.size() || j < fresh_.size()) {
-    if (j == fresh_.size() || (i < old.size() && old[i] < fresh_[j])) {
-      List& other = lists[old[i]];
-      other.erase(std::lower_bound(other.begin(), other.end(), id));
-      on_change(old[i++]);
-    } else if (i == old.size() || fresh_[j] < old[i]) {
-      List& other = lists[fresh_[j]];
-      other.insert(std::lower_bound(other.begin(), other.end(), id), id);
-      on_change(fresh_[j++]);
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  old = fresh_;
-}
-
-void InterferenceColorer::rebuild_all() {
+      wide_(direct_.radius() > topo.radio_range()) {
   const std::size_t n = topo_.size();
-  links_.resize(n);
-  for (core::NodeId id = 0; id < n; ++id)
-    topo_.within_into(id, range_, links_[id]);
-  if (wide_) {
-    direct_lists_.resize(n);
-    for (core::NodeId id = 0; id < n; ++id)
-      topo_.within_into(id, direct_, direct_lists_[id]);
-  }
-  // Placeholder colors: replay re-evaluates every node in id order, and a
-  // node only reads the colors of lower ids, which are final by then.
+  // Placeholder colors: with nothing seen yet, the first sync seeds every
+  // node with a partner and replays them in id order (a node reads only
+  // lower ids' colors, final by then); nodes without partners keep 0.
   color_.assign(n, 0);
   count_.assign(1, n);
   // A node has fewer than n lower-id partners, so its color is below n.
   color_mark_.assign(n, 0);
-  stamp_ = 0;
   queued_.assign(n, 0);
-  seeds_.clear();
-  for (core::NodeId id = 0; id < n; ++id) seed(id);
+  sync();
+}
+
+std::size_t InterferenceColorer::sync() {
+  topo_.links();  // brings links_ current
+  if (wide_) direct_.sync(topo_);
+  // A changed link (a, b) can change the conflict relation between a or b
+  // and any current neighbor of the other end (b is their witness), and
+  // between a and b themselves: seed both ends and both neighborhoods. A
+  // margin·R pair only decides its own conflict: seed the two ends.
+  if (links_.version() != links_seen_ || direct_.version() != direct_seen_) {
+    for (core::NodeId t = 0; t < topo_.size(); ++t) {
+      if (wide_ && direct_.changed_at(t) > direct_seen_) seed(t);
+      if (links_.changed_at(t) <= links_seen_) continue;
+      seed(t);
+      for (const core::NodeId u : links_[t]) seed(u);
+    }
+    links_seen_ = links_.version();
+    direct_seen_ = direct_.version();
+  }
+  return replay();
 }
 
 void InterferenceColorer::seed(core::NodeId id) {
@@ -108,7 +52,7 @@ void InterferenceColorer::seed(core::NodeId id) {
 
 template <typename Fn>
 void InterferenceColorer::for_each_partner(core::NodeId v, Fn&& fn) const {
-  for (const core::NodeId u : wide_ ? direct_lists_[v] : links_[v]) fn(u);
+  for (const core::NodeId u : wide_ ? direct_[v] : links_[v]) fn(u);
   for (const core::NodeId w : links_[v])
     for (const core::NodeId u : links_[w])
       if (u != v) fn(u);

@@ -16,13 +16,13 @@
 // color none of its lower-id conflict partners holds. That is
 // deterministic, uses at most Δ+1 colors, and — because a node's color
 // depends only on its lower-id partners' colors — can be maintained
-// exactly under churn. InterferenceColorer keeps the per-node neighbor
-// lists and the coloring between topology generations; a sync re-queries
-// only the nodes Topology::moved_since names, patches the changed list
-// entries into both endpoints, and replays greedy in ascending id order
-// from the nodes whose partner set changed, following color changes
-// upward. The result is always the coloring a from-scratch pass would
-// produce, bit for bit; a move that changes no link re-evaluates no node.
+// exactly under churn. InterferenceColorer keeps the coloring between
+// syncs and reads phy::NeighborIndex lists: Topology::links() at R, plus
+// its own index at margin·R when margin > 1. A sync seeds the nodes they
+// stamped since it last looked and replays greedy in ascending id order
+// from them, following color changes upward. The result is always the
+// coloring a from-scratch pass would produce, bit for bit; a move that
+// changes no link re-evaluates no node.
 #pragma once
 
 #include <cstdint>
@@ -46,25 +46,13 @@ class InterferenceColorer {
 
   // Brings the coloring up to the topology's current generation. Returns
   // the number of nodes whose color was re-evaluated: 0 when no link (and
-  // no margin·R pair) changed, every node after a full rebuild (the move
-  // ring no longer covers the window since the last sync).
+  // no margin·R pair) changed.
   std::size_t sync();
 
   const std::vector<std::uint32_t>& colors() const { return color_; }
   std::size_t colors_used() const { return count_.size(); }
 
  private:
-  using List = std::vector<core::NodeId>;
-
-  // Re-queries a mover's list(s) against the current positions and records
-  // or seeds the nodes whose conflict partners may have changed.
-  void refresh(core::NodeId id);
-  // Diffs `lists[id]` against the ascending `fresh_`, patching both ends of
-  // each changed pair; calls on_change(partner) for each.
-  template <typename OnChange>
-  void patch(std::vector<List>& lists, core::NodeId id, OnChange&& on_change);
-  // Re-queries every list and queues every node.
-  void rebuild_all();
   void seed(core::NodeId id);
   // Calls fn(u) for each conflict partner u of v; u may repeat.
   template <typename Fn>
@@ -74,19 +62,16 @@ class InterferenceColorer {
   std::size_t replay();
 
   const phy::Topology& topo_;
-  double range_;
-  double direct_;  // margin·R, >= R
-  bool wide_;      // direct_ > R: the direct lists differ from the links
-
-  std::uint64_t synced_gen_ = 0;
-  std::vector<List> links_;         // per node, ascending: within R
-  std::vector<List> direct_lists_;  // per node, ascending: within margin·R
+  const phy::NeighborIndex& links_;  // topo_.links(), synced by sync()
+  phy::NeighborIndex direct_;        // within margin·R (>= R)
+  bool wide_;  // margin·R > R: direct_ differs from the links
+  std::uint64_t links_seen_ = 0;   // links_.version() at the last sync
+  std::uint64_t direct_seen_ = 0;  // direct_.version() at the last sync
   std::vector<std::uint32_t> color_;
   std::vector<std::size_t> count_;  // nodes per color; no trailing zeros
 
   // Scratch, kept across syncs so steady state does not allocate.
-  List movers_, fresh_, touched_;
-  List seeds_;  // min-heap of queued ids
+  std::vector<core::NodeId> seeds_;  // min-heap of queued ids
   std::vector<std::uint8_t> queued_;
   std::vector<std::uint64_t> color_mark_;  // color -> evaluation stamp
   std::uint64_t stamp_ = 0;

@@ -1,14 +1,12 @@
 // The polymorphic MAC seam: enum, config, hooks, and the per-node
 // interface every MAC implements.
 //
-// PR 3 made the transport layer pluggable (net::TransportRegistry); this
-// header does the same for the MAC. A MAC implementation provides one
-// MacIface per node — the queue/attempt/retry state machine the transport
-// layer talks to — and registers a fabric factory under a Mac enum value
-// (see mac/registry.h). Network and Node depend only on this interface,
-// so a new MAC is one enum value + one registration, with zero edits to
-// the net/ layer. The contract mirrors the paper's iJTP plug-in
-// architecture (§2.2.2):
+// A MAC implementation provides one MacIface per node — the
+// queue/attempt/retry state machine the transport layer talks to — and
+// registers a fabric factory under a Mac enum value (see mac/registry.h).
+// Network and Node depend only on this interface, so a new MAC is one
+// enum value + one registration, with zero edits to the net/ layer. The
+// contract mirrors the paper's iJTP plug-in architecture (§2.2.2):
 //   * pre-xmit hook — invoked immediately before every over-the-air
 //     transmission; may drop the packet (energy budget) and, on the first
 //     attempt, fixes the packet's attempt budget;

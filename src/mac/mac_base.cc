@@ -13,13 +13,11 @@ MacBase::MacBase(sim::Simulator& sim, phy::Channel& channel,
       energy_(energy),
       self_(self),
       cfg_(cfg),
-      estimator_(cfg.estimator),
-      ctrl_queue_(cfg.queue_capacity_packets),
-      queue_(cfg.queue_capacity_packets) {}
+      estimator_(cfg.estimator) {}
 
 bool MacBase::enqueue(core::PacketPtr p, core::NodeId next_hop) {
-  TxRing& q = p->is_ack() ? ctrl_queue_ : queue_;
-  if (q.full()) {
+  TxQueue& q = p->is_ack() ? ctrl_queue_ : queue_;
+  if (q.size() >= cfg_.queue_capacity_packets) {
     ++queue_drops_;
     return false;  // `p` goes out of scope: the slot is recycled
   }
@@ -28,13 +26,13 @@ bool MacBase::enqueue(core::PacketPtr p, core::NodeId next_hop) {
   return true;
 }
 
-MacBase::TxRing* MacBase::current_queue() {
+MacBase::TxQueue* MacBase::current_queue() {
   if (!ctrl_queue_.empty()) return &ctrl_queue_;
   if (!queue_.empty()) return &queue_;
   return nullptr;
 }
 
-void MacBase::finish_head(TxRing& q, bool delivered) {
+void MacBase::finish_head(TxQueue& q, bool delivered) {
   Entry& e = q.front();
   estimator_.record_packet(e.next_hop,
                            e.attempts_done > 0 ? e.attempts_done : 1);
@@ -64,9 +62,9 @@ void SlottedMac::schedule_next_tx() {
 }
 
 void SlottedMac::transmit_head() {
-  TxRing* qp = current_queue();
+  TxQueue* qp = current_queue();
   if (qp == nullptr) return;
-  TxRing& q = *qp;
+  TxQueue& q = *qp;
   Entry& e = q.front();
   const bool first_attempt = (e.attempts_done == 0);
   const core::LinkView link = estimator_.view(e.next_hop, sim_.now());

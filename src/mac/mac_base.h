@@ -2,8 +2,8 @@
 // attempt/drop counters every registered MAC uses, plus the slot-timed
 // transmit loop the TDMA family shares.
 //
-// MacBase owns what is common to all disciplines — two fixed-capacity
-// FIFO rings (control ahead of data), the pre-xmit/deliver/trace hooks,
+// MacBase owns what is common to all disciplines — two bounded FIFO
+// queues (control ahead of data), the pre-xmit/deliver/trace hooks,
 // the LinkEstimator, and the counter set that is the conformance
 // contract. How and when the head of the queue actually hits the air is
 // the discipline: SlottedMac implements the "transmit the head in the
@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 #include "mac/mac.h"
 #include "phy/channel.h"
@@ -60,31 +60,9 @@ class MacBase : public MacIface {
     int max_attempts = 0;  // fixed on first attempt
   };
 
-  // Fixed-capacity FIFO ring: the transmit queue's bound is a protocol
-  // parameter (queue_capacity_packets), so the storage is allocated once
-  // at construction and enqueue/dequeue never touch the heap.
-  class TxRing {
-   public:
-    explicit TxRing(std::size_t capacity) : buf_(capacity) {}
-    bool full() const { return size_ == buf_.size(); }
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    Entry& front() { return buf_[head_]; }
-    void push_back(Entry&& e) {
-      buf_[(head_ + size_) % buf_.size()] = std::move(e);
-      ++size_;
-    }
-    void pop_front() {
-      buf_[head_] = Entry{};  // release the packet handle
-      head_ = (head_ + 1) % buf_.size();
-      --size_;
-    }
-
-   private:
-    std::vector<Entry> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
+  // A transmit queue; enqueue bounds it at queue_capacity_packets. Its
+  // storage grows with the backlog, not with the bound.
+  using TxQueue = std::deque<Entry>;
 
   // Called after a successful enqueue; the discipline arms its transmit
   // machinery (slot timer, backoff cycle) if it is not already running.
@@ -93,8 +71,8 @@ class MacBase : public MacIface {
   // Control traffic (ACKs) is transmitted before data: feedback keeps the
   // rate controllers honest precisely when queues are backlogged, and an
   // ACK stuck behind 50 data packets per hop arrives too stale to matter.
-  TxRing* current_queue();
-  void finish_head(TxRing& q, bool delivered);
+  TxQueue* current_queue();
+  void finish_head(TxQueue& q, bool delivered);
 
   sim::Simulator& sim_;
   phy::Channel& channel_;
@@ -103,8 +81,8 @@ class MacBase : public MacIface {
   MacConfig cfg_;
   LinkEstimator estimator_;
 
-  TxRing ctrl_queue_;
-  TxRing queue_;
+  TxQueue ctrl_queue_;
+  TxQueue queue_;
 
   PreXmitHook pre_xmit_;
   DeliverHook deliver_;

@@ -7,8 +7,7 @@
 // TDMA slot schedule, the interference coloring, the CSMA carrier).
 // `Network` resolves `NetworkConfig::mac_kind` here and talks only to the
 // fabric — adding a MAC is one enum value + one registration; Network,
-// Node, the benches, and the scenario language need no edits. The shape
-// deliberately mirrors net::TransportRegistry (PR 3).
+// Node, the benches, and the scenario language need no edits.
 #pragma once
 
 #include <cstdint>
@@ -75,8 +74,7 @@ struct MacInfo {
 // Process-wide MAC registry. The builtin disciplines are registered on
 // first use; additional MACs must be registered before any simulation
 // threads start. Entries are immutable once added and hold no per-run
-// state, so seed-parallel determinism is unaffected (same discipline as
-// net::TransportRegistry).
+// state, so seed-parallel determinism is unaffected.
 class MacRegistry {
  public:
   static MacRegistry& instance();

@@ -7,17 +7,16 @@
 // concurrently, collision-free by the coloring property, so capacity is a
 // function of local density (the chromatic bound), not of n.
 //
-// The coloring is synced lazily off the topology's generation counter,
-// like the routing view: a static field colors once; under mobility the
-// schedule syncs its InterferenceColorer only when the MAC consults it
-// after a position change, and the sync re-runs greedy only where the
-// link graph changed (usually nowhere: a 1 m waypoint step rarely makes
-// or breaks a link), with a result identical to a fresh pass. The slot
-// permutation over colors reuses TdmaSchedule, seeded like the classic
-// schedule so runs stay deterministic across recolors; it is rebuilt
-// only when the color count changes. MacStats is the observable
-// contract: recolors (generation syncs), colors_used, max_color,
-// reuse_factor.
+// The coloring is synced lazily off the topology's generation counter: a
+// static field colors once; under mobility the schedule syncs its
+// InterferenceColorer only when the MAC consults it after a position
+// change, and greedy re-runs only where the link graph changed (usually
+// nowhere: a 1 m waypoint step rarely makes or breaks a link), with a
+// result identical to a fresh pass. The slot permutation over colors
+// reuses TdmaSchedule, seeded like the classic schedule so runs stay
+// deterministic across recolors; it is rebuilt only when the color count
+// changes. MacStats is the observable contract: recolors (generation
+// syncs), colors_used, max_color, reuse_factor.
 #pragma once
 
 #include <cstdint>

@@ -107,7 +107,7 @@ void Network::run_until(double t) {
     started_ = true;
     routing_.start();
     // Keep routes reasonably fresh under motion: the periodic link-state
-    // refresh picks up the topology's generation counter; no per-move
+    // refresh picks up the topology's link version; no per-move
     // recompute (that would be an oracle, and the staleness is part of
     // what Fig. 11 measures).
     if (mobility_) mobility_->start();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "sim/random.h"
@@ -15,14 +16,15 @@ double distance(const Position& a, const Position& b) {
 }
 
 Topology::Topology(std::size_t n_nodes, double radio_range_m)
-    : pos_(n_nodes), range_(radio_range_m), cell_key_(n_nodes) {
+    : pos_(n_nodes),
+      range_(radio_range_m),
+      cell_key_(n_nodes),
+      links_(radio_range_m) {
   if (n_nodes == 0) throw std::invalid_argument("Topology: no nodes");
   if (radio_range_m <= 0) throw std::invalid_argument("Topology: bad range");
-  // Sized for a consumer that reads the ring about once per waypoint
-  // tick — the interference colorer of spatial-reuse TDMA, which recolors
-  // only around the nodes that moved: even with every node moving, 4
-  // generations per node of slack covers a few ticks. On overflow the
-  // colorer falls back to a full rebuild.
+  // Sized for indexes synced about once per waypoint tick or routing
+  // refresh: even with every node moving, 4 generations per node of slack
+  // covers a few ticks. On overflow an index re-queries every node.
   move_ring_.assign(std::max<std::size_t>(64, 4 * n_nodes),
                     core::kInvalidNode);
   const CellKey origin = cell_of(Position{});
@@ -78,6 +80,61 @@ bool Topology::moved_since(std::uint64_t gen,
   return true;
 }
 
+void NeighborIndex::sync(const Topology& topo) {
+  const std::size_t n = topo.size();
+  if (lists_.size() != n) {
+    // First sync: fill every list directly; every node is new.
+    lists_.resize(n);
+    for (core::NodeId id = 0; id < n; ++id) {
+      topo.within_into(id, radius_, fresh_);
+      lists_[id] = fresh_;  // one exact-size allocation per list
+    }
+    version_ = 1;
+    changed_at_.assign(n, version_);
+  } else if (synced_gen_ != topo.generation()) {
+    if (!topo.moved_since(synced_gen_, movers_)) {
+      movers_.resize(n);
+      std::iota(movers_.begin(), movers_.end(), core::NodeId{0});
+    }
+    bool changed = false;
+    for (const core::NodeId id : movers_) {
+      topo.within_into(id, radius_, fresh_);
+      changed |= patch(id, version_ + 1);
+    }
+    if (changed) ++version_;
+  }
+  synced_gen_ = topo.generation();
+}
+
+bool NeighborIndex::patch(core::NodeId id, std::uint64_t version) {
+  // Merge of two ascending lists. Entries are patched into the partner's
+  // list too, so when the partner is itself a mover its own re-query sees
+  // the pair already consistent and reports it only once.
+  std::vector<core::NodeId>& old = lists_[id];
+  if (old == fresh_) return false;
+  std::size_t i = 0, j = 0;
+  while (i < old.size() || j < fresh_.size()) {
+    core::NodeId partner;
+    if (j == fresh_.size() || (i < old.size() && old[i] < fresh_[j])) {
+      partner = old[i++];
+      auto& other = lists_[partner];
+      other.erase(std::lower_bound(other.begin(), other.end(), id));
+    } else if (i == old.size() || fresh_[j] < old[i]) {
+      partner = fresh_[j++];
+      auto& other = lists_[partner];
+      other.insert(std::lower_bound(other.begin(), other.end(), id), id);
+    } else {
+      ++i;
+      ++j;
+      continue;
+    }
+    changed_at_[partner] = version;
+  }
+  changed_at_[id] = version;
+  old = fresh_;
+  return true;
+}
+
 bool Topology::in_range(core::NodeId a, core::NodeId b) const {
   if (a == b) return false;
   return distance(pos_.at(a), pos_.at(b)) <= range_;
@@ -110,25 +167,17 @@ std::vector<core::NodeId> Topology::neighbors(core::NodeId id) const {
 }
 
 bool Topology::connected() const {
+  const NeighborIndex& index = links();
   std::vector<bool> seen(pos_.size(), false);
-  std::vector<core::NodeId> queue;
-  std::vector<core::NodeId> nbrs;
-  queue.reserve(pos_.size());
-  queue.push_back(0);
+  std::vector<core::NodeId> queue{0};
   seen[0] = true;
-  std::size_t visited = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const core::NodeId u = queue[head];
-    neighbors_into(u, nbrs);
-    for (core::NodeId v : nbrs) {
+  for (std::size_t head = 0; head < queue.size(); ++head)
+    for (const core::NodeId v : index[queue[head]])
       if (!seen[v]) {
         seen[v] = true;
-        ++visited;
         queue.push_back(v);
       }
-    }
-  }
-  return visited == pos_.size();
+  return queue.size() == pos_.size();
 }
 
 Topology Topology::linear(std::size_t n, double spacing_m, double range_m) {

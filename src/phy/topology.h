@@ -9,9 +9,7 @@
 // cell block around it, so neighbors()/connected() cost O(cell occupancy)
 // per node instead of a full scan — the difference between paper-scale
 // (n ~ 25) and production-scale (n ~ 1000) control planes. set_position
-// updates the index incrementally and bumps a generation counter that
-// consumers (the routing view) use to detect "topology unchanged" without
-// comparing positions.
+// updates the grid incrementally and bumps a generation counter.
 #pragma once
 
 #include <cstddef>
@@ -34,6 +32,45 @@ struct Position {
 
 double distance(const Position& a, const Position& b);
 
+class Topology;
+
+// Ascending per-node lists of the nodes within `radius`, kept current
+// under churn. The first sync queries every node and stamps each with
+// version 1; later ones re-query only the nodes Topology::moved_since
+// names (every node after a move-ring overflow), patch each changed pair
+// into both ends and, if any pair changed, bump version() and stamp both
+// ends of each changed pair with it. A consumer that remembers the version
+// it last read finds the changed nodes as changed_at(id) > seen; a move
+// that makes or breaks no pair changes neither. Topology::links() is the
+// index at R that the routing view and the spatial-reuse colorer share.
+class NeighborIndex {
+ public:
+  explicit NeighborIndex(double radius) : radius_(radius) {}
+
+  // Brings the lists up to `topo`'s generation (always the same topology).
+  void sync(const Topology& topo);
+
+  double radius() const { return radius_; }
+  const std::vector<core::NodeId>& operator[](core::NodeId id) const {
+    return lists_[id];
+  }
+  std::uint64_t version() const { return version_; }
+  // The version of the last sync that changed `id`'s list (0: never).
+  std::uint64_t changed_at(core::NodeId id) const { return changed_at_[id]; }
+
+ private:
+  // Diffs lists_[id] against fresh_, patching and stamping both ends of
+  // each changed pair; returns whether any pair changed.
+  bool patch(core::NodeId id, std::uint64_t version);
+
+  double radius_;
+  std::uint64_t synced_gen_ = 0;
+  std::uint64_t version_ = 0;
+  std::vector<std::vector<core::NodeId>> lists_;  // empty until first sync
+  std::vector<std::uint64_t> changed_at_;
+  std::vector<core::NodeId> movers_, fresh_;  // scratch
+};
+
 class Topology {
  public:
   Topology(std::size_t n_nodes, double radio_range_m);
@@ -51,12 +88,9 @@ class Topology {
   // Fills `out` with the distinct nodes whose position changed in
   // (gen, generation()], ascending. The answer comes from a bounded ring
   // of recent moves (one entry per generation, capacity ~4n), so a
-  // consumer that syncs regularly pays O(moves since last sync) instead
-  // of re-snapshotting positions it already holds; the interference
-  // colorer of spatial-reuse TDMA (mac::InterferenceColorer) re-queries
-  // only these nodes' neighbor lists. Returns false when the window is no
-  // longer covered by the ring — the caller must treat that as "every
-  // node may have moved" and fall back to a full rebuild.
+  // NeighborIndex that syncs regularly re-queries only these nodes'
+  // lists. Returns false when the window is no longer covered by the
+  // ring — the caller must treat that as "every node may have moved".
   bool moved_since(std::uint64_t gen, std::vector<core::NodeId>& out) const;
 
   // Capacity of the move ring (generations of history moved_since can
@@ -66,10 +100,9 @@ class Topology {
   bool in_range(core::NodeId a, core::NodeId b) const;
   std::vector<core::NodeId> neighbors(core::NodeId id) const;
 
-  // Allocation-free variant for hot loops (routing BFS): clears `out` and
-  // fills it with the in-range ids in ascending order — the same order
-  // the full-scan implementation produced, which the routing tie-breaks
-  // (and therefore the committed baselines) depend on.
+  // Allocation-free variant: clears `out` and fills it with the in-range
+  // ids, ascending (the order the routing tie-breaks, and therefore the
+  // committed baselines, depend on).
   void neighbors_into(core::NodeId id, std::vector<core::NodeId>& out) const {
     within_into(id, range_, out);
   }
@@ -78,6 +111,13 @@ class Topology {
   // distance(position(id), position(j)) <= radius, ascending.
   void within_into(core::NodeId id, double radius,
                    std::vector<core::NodeId>& out) const;
+
+  // The radio-range graph: the same lists neighbors_into returns, synced
+  // lazily on each call (a write, so a topology stays on one thread).
+  const NeighborIndex& links() const {
+    links_.sync(*this);
+    return links_;
+  }
 
   // True if the range graph is a single connected component.
   bool connected() const;
@@ -108,6 +148,7 @@ class Topology {
   std::vector<core::NodeId> move_ring_;
   std::unordered_map<CellKey, std::vector<core::NodeId>> cells_;
   std::vector<CellKey> cell_key_;  // per node: the cell it is filed under
+  mutable NeighborIndex links_;    // within range_
 };
 
 }  // namespace jtp::phy

@@ -38,24 +38,24 @@ void LinkStateRouting::start() {
 
 void LinkStateRouting::refresh() {
   ++stats_.refreshes;
-  if (topo_.generation() == view_gen_) return;  // view already current
+  // No link made or broken since the capture: the view is still current.
+  if (topo_.links().version() == view_version_) return;
   ++stats_.snapshots;
   capture_view();
   ++epoch_;  // invalidates every row without touching them
 }
 
 void LinkStateRouting::capture_view() {
+  const phy::NeighborIndex& links = topo_.links();
   const std::size_t n = topo_.size();
   adj_off_.resize(n + 1);
   adj_.clear();
-  std::vector<core::NodeId> nbrs;
   for (core::NodeId u = 0; u < n; ++u) {
     adj_off_[u] = adj_.size();
-    topo_.neighbors_into(u, nbrs);
-    adj_.insert(adj_.end(), nbrs.begin(), nbrs.end());
+    adj_.insert(adj_.end(), links[u].begin(), links[u].end());
   }
   adj_off_[n] = adj_.size();
-  view_gen_ = topo_.generation();
+  view_version_ = links.version();
 }
 
 const int* LinkStateRouting::row(core::NodeId d) const {

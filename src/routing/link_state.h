@@ -19,13 +19,13 @@
 // recompute. Rows are keyed by *destination* and hold hop counts only:
 // row(d)[v] is the number of hops from v to d, filled by one BFS rooted at
 // d the first time d is queried against the current view, and kept until
-// the view actually changes (tracked by the topology's generation
-// counter). Every query JTP makes has a fixed destination (next hop toward
-// a packet's dst, remaining hops H_i to it), so one row serves every
-// forwarder on every path into d. A static 1000-node field therefore pays
-// one BFS per flow endpoint, once — refreshes on an unchanged topology are
-// no-ops. RoutingStats is the observable contract for that claim,
-// mirroring sim::PoolStats for the data-plane pools.
+// a link is made or broken (the link version of Topology::links()). Every
+// query JTP makes has a fixed destination (next hop toward a packet's
+// dst, remaining hops H_i to it), so one row serves every forwarder on
+// every path into d. A static 1000-node field therefore pays one BFS per
+// flow endpoint, once — refreshes on an unchanged link graph are no-ops.
+// RoutingStats is the observable contract for that claim, mirroring
+// sim::PoolStats for the data-plane pools.
 //
 // Tie-break. next_hop(at, d) is the lowest-id neighbor v of `at` with
 // row(d)[v] == row(d)[at] - 1, the first hop a BFS rooted at `at` (FIFO,
@@ -44,14 +44,13 @@
 // not with n².
 //
 // The view itself is a CSR (compressed sparse row) adjacency: one
-// ascending neighbor list per node, captured with one grid query per node
-// at construction and at every refresh that sees a new topology
-// generation. BFS then scans flat arrays instead of querying the grid per
-// visited node, and next_hop scans `at`'s list in ascending order. A
-// capture also bumps an epoch, which invalidates every cached row at once;
-// each row rebuilds on its next query. Patching rows in place instead was
-// measured not to pay end to end (docs/ARCHITECTURE.md, "Lazy-only
-// routing").
+// ascending neighbor list per node, flattened from Topology::links() at
+// construction and at every refresh that sees a new link version. BFS
+// then scans flat arrays, and next_hop scans `at`'s list in ascending
+// order. A capture also bumps an epoch, which invalidates every cached
+// row at once; each row rebuilds on its next query. Patching rows in
+// place instead was measured not to pay end to end (docs/ARCHITECTURE.md,
+// "Lazy-only routing").
 #pragma once
 
 #include <cstdint>
@@ -74,7 +73,7 @@ struct RoutingConfig {
 // some path recomputes needlessly.
 struct RoutingStats {
   std::uint64_t refreshes = 0;   // view syncs (periodic + forced + ctor)
-  std::uint64_t snapshots = 0;   // syncs that saw a new topology generation
+  std::uint64_t snapshots = 0;   // syncs that saw a new link version
   std::uint64_t rows_built = 0;  // per-destination BFS row computations
   std::uint64_t row_reuses = 0;  // queries served from an existing row
 };
@@ -88,7 +87,7 @@ class LinkStateRouting {
   void start();
 
   // Syncs the view to the live topology (periodic timer, tests). Cheap
-  // when the topology generation has not changed.
+  // when no link was made or broken since the last capture.
   void refresh();
 
   // Next hop from `at` toward `dst` per `at`'s current view.
@@ -108,7 +107,7 @@ class LinkStateRouting {
   const RoutingConfig& config() const { return cfg_; }
 
  private:
-  // Captures the live topology's adjacency into the CSR view.
+  // Flattens the live topology's links into the CSR view.
   void capture_view();
 
   // The hop-count row of destination `d` for the current view epoch,
@@ -126,7 +125,7 @@ class LinkStateRouting {
   // see exactly what an eager refresh-time recompute would have seen.
   std::vector<std::size_t> adj_off_;
   std::vector<core::NodeId> adj_;
-  std::uint64_t view_gen_ = 0;
+  std::uint64_t view_version_ = 0;  // links().version() at the capture
 
   // Row slab: slot k holds dist_[k*n .. (k+1)*n), the hops from every
   // node to the destination d with slot_of_[d] == k (kNoSlot until d is

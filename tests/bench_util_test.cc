@@ -227,6 +227,33 @@ TEST(UsageText, NamesEveryPresetMacAndProto) {
   }
 }
 
+// Topology and workload names likewise, in the help and in the error for
+// an unknown value; enumerators count up from 0 and print "?" past the
+// last.
+TEST(UsageText, NamesEveryTopologyAndWorkload) {
+  const std::string help = usage_text();
+  exp::ScenarioSpec spec;
+  const std::string topo_err = exp::apply_scenario_tokens(spec, "topology=x");
+  const std::string work_err = exp::apply_scenario_tokens(spec, "workload=x");
+  std::size_t topologies = 0, workloads = 0;
+  for (int v = 0; v < 256; ++v) {
+    const auto t = exp::topology_name(static_cast<exp::TopologyKind>(v));
+    if (t != "?") {
+      ++topologies;
+      EXPECT_TRUE(names_word(help, t)) << "topology " << t;
+      EXPECT_TRUE(names_word(topo_err, t)) << "topology " << t;
+    }
+    const auto w = exp::workload_name(static_cast<exp::WorkloadKind>(v));
+    if (w != "?") {
+      ++workloads;
+      EXPECT_TRUE(names_word(help, w)) << "workload " << w;
+      EXPECT_TRUE(names_word(work_err, w)) << "workload " << w;
+    }
+  }
+  EXPECT_EQ(topologies, 3u);
+  EXPECT_EQ(workloads, 6u);
+}
+
 TEST(CsvSectionPath, InsertsBeforeExtension) {
   EXPECT_EQ(csv_section_path("out.csv", "a"), "out.a.csv");
   EXPECT_EQ(csv_section_path("dir/out.csv", "b"), "dir/out.b.csv");

@@ -217,6 +217,85 @@ TEST(TopologyMovedSince, CopyCarriesItsOwnHistory) {
   EXPECT_EQ(orig_moved, (std::vector<core::NodeId>{1}));
 }
 
+// Every other node within `radius` of each node, ascending, by full scan.
+std::vector<std::vector<core::NodeId>> brute_lists(const Topology& t,
+                                                   double radius) {
+  std::vector<std::vector<core::NodeId>> out(t.size());
+  for (core::NodeId i = 0; i < t.size(); ++i)
+    for (core::NodeId j = 0; j < t.size(); ++j)
+      if (j != i && distance(t.position(i), t.position(j)) <= radius)
+        out[i].push_back(j);
+  return out;
+}
+
+// Seeded churn: sub-metre wiggles (rarely change a pair), placements
+// exactly R or 1.5R from another node, teleports, and every tenth round a
+// burst of wiggles longer than the move ring (the index re-queries every
+// node). After each sync both indexes hold the brute-force lists, the
+// version moves iff some pair changed, and exactly the nodes whose lists
+// changed carry the new version.
+TEST(NeighborIndex, MatchesBruteForceUnderChurnWithOverflow) {
+  constexpr std::size_t kN = 60;
+  constexpr double kR = 40.0;
+  sim::Rng rng(23);
+  Topology t(kN, kR);
+  for (core::NodeId i = 0; i < kN; ++i)
+    t.set_position(i, {rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)});
+  NeighborIndex wide(1.5 * kR);
+  wide.sync(t);
+  const NeighborIndex* const indexes[] = {&t.links(), &wide};
+  auto pick = [&] { return static_cast<core::NodeId>(rng.integer(kN)); };
+  std::size_t quiet = 0, changed = 0;
+  for (int round = 0; round < 80; ++round) {
+    std::vector<std::vector<std::vector<core::NodeId>>> before;
+    std::vector<std::vector<std::uint64_t>> stamps;
+    for (const NeighborIndex* idx : indexes) {
+      before.push_back(brute_lists(t, idx->radius()));
+      stamps.emplace_back();
+      for (core::NodeId i = 0; i < kN; ++i)
+        stamps.back().push_back(idx->changed_at(i));
+    }
+    const std::uint64_t versions[] = {indexes[0]->version(),
+                                      indexes[1]->version()};
+    const bool burst = round % 10 == 9;
+    const std::size_t moves =
+        burst ? t.move_history_capacity() + 1 : 1 + rng.integer(3);
+    for (std::size_t m = 0; m < moves; ++m) {
+      const core::NodeId id = pick();
+      const Position p = t.position(id);
+      const int kind = burst ? 0 : round % 3;
+      if (kind == 0) {
+        t.set_position(id, {p.x + rng.uniform(-0.5, 0.5), p.y});
+      } else if (kind == 1) {
+        const core::NodeId other = (id + 1 + pick() % (kN - 1)) % kN;
+        const Position q = t.position(other);
+        t.set_position(id, {q.x + (rng.integer(2) ? kR : 1.5 * kR), q.y});
+      } else {
+        t.set_position(id, {rng.uniform(-120.0, 120.0),
+                            rng.uniform(-120.0, 120.0)});
+      }
+    }
+    t.links();
+    wide.sync(t);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const NeighborIndex& idx = *indexes[k];
+      const auto want = brute_lists(t, idx.radius());
+      const bool any = want != before[k];
+      EXPECT_EQ(idx.version(), versions[k] + (any ? 1 : 0)) << round;
+      for (core::NodeId i = 0; i < kN; ++i) {
+        ASSERT_EQ(idx[i], want[i]) << "radius " << idx.radius() << ", round "
+                                   << round << ", node " << i;
+        EXPECT_EQ(idx.changed_at(i),
+                  want[i] != before[k][i] ? idx.version() : stamps[k][i])
+            << "radius " << idx.radius() << ", round " << round;
+      }
+      ++(any ? changed : quiet);
+    }
+  }
+  EXPECT_GT(quiet, 10u);    // the wiggles exercised the no-change path
+  EXPECT_GT(changed, 10u);  // and the other moves changed pairs
+}
+
 TEST(TopologyGridIndex, RangeBoundaryIsInclusiveAcrossCells) {
   // Two nodes exactly one range apart land in different cells; the index
   // must keep the <= boundary the scan had.
